@@ -13,8 +13,7 @@ from .data import (CheckIn, DataError, Dataset, SyntheticSpec, VisitEvent,
                    generate_synthetic, load_dataset, parse_checkin_file,
                    save_dataset)
 from .evaluate import (EvalReport, FusionStrategy, acc_at_k, evaluate_with_nets,
-                       fuse, motivation_stats, mrr, rank_top_k, run_battery,
-                       run_variant)
+                       fuse, motivation_stats, mrr, rank_top_k, run_battery)
 from .poi_net import PoiNet
 from .user_net import UserNet, decay_weight, haversine_km
 
@@ -28,5 +27,5 @@ __all__ = [
     "filter_inactive_users", "fuse", "generate_synthetic", "gradient_check",
     "haversine_km", "load_dataset", "motivation_stats", "mrr",
     "parse_checkin_file", "poi_similarity", "rank_top_k", "run_battery",
-    "run_variant", "save_dataset", "user_similarity",
+    "save_dataset", "user_similarity",
 ]

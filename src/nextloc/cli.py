@@ -153,21 +153,44 @@ def cmd_associate(args) -> int:
     return 0
 
 
+def _load_net(cls, path, dataset):
+    net = cls.load(path)
+    evaluate.check_fits(dataset, net)
+    return net
+
+
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args.config, {
         "variant": args.variant, "fusion": args.fusion, "top_ks": args.ks,
         "s_u_mode": args.s_u_mode, "s_l_mode": args.s_l_mode,
     })
-    dataset = load_dataset(args.data)
-    user_net = UserNet.load(args.user_ckpt) if args.user_ckpt else None
-    poi_net = PoiNet.load(args.poi_ckpt) if args.poi_ckpt else None
-    fusion = FusionStrategy.parse(cfg.fusion)
+    if cfg.variant not in VARIANTS + ("all",):
+        raise ConfigError(f"unknown variant {cfg.variant!r}; "
+                          f"expected one of {VARIANTS} or 'all'")
     variants = list(VARIANTS) if cfg.variant == "all" else [cfg.variant]
+    wirings = [evaluate.WIRING[v] for v in variants]
+    for variant, wiring in zip(variants, wirings):
+        for needed, flag, given in ((wiring.user_net, "--user-ckpt", args.user_ckpt),
+                                    (wiring.poi_net, "--poi-ckpt", args.poi_ckpt)):
+            if needed and not given:
+                raise ConfigError(f"variant {variant!r} needs {flag}")
+    dataset = load_dataset(args.data)
+    user_net = _load_net(UserNet, args.user_ckpt, dataset) if args.user_ckpt else None
+    poi_net = _load_net(PoiNet, args.poi_ckpt, dataset) if args.poi_ckpt else None
+    fusion = FusionStrategy.parse(cfg.fusion)
+    # Built once and shared by every variant, as run_battery does.
+    corr_u = (association.user_similarity(dataset)
+              if any(w.user_adj for w in wirings) else None)
+    corr_l = (association.poi_similarity(dataset)
+              if any(w.poi_adj for w in wirings) else None)
+    s_l = (poi_net.predict_score_matrix(dataset)
+           if any(w.poi_net for w in wirings) else None)
     out = _out_dir(args.out, "report")
     os.makedirs(out, exist_ok=True)
     for variant in variants:
         result = evaluate.evaluate_with_nets(dataset, user_net, poi_net, variant,
-                                             fusion, ks=cfg.top_ks,
+                                             fusion, ks=cfg.top_ks, corr_u=corr_u,
+                                             corr_l=corr_l, s_l=s_l,
                                              s_u_mode=cfg.s_u_mode, s_l_mode=cfg.s_l_mode)
         report = evaluate.single_report(variant, fusion, cfg.top_ks, result)
         with open(os.path.join(out, f"report_{variant}.json"), "w", encoding="utf-8") as f:
@@ -240,8 +263,8 @@ def cmd_stats(args) -> int:
 
 def cmd_case(args) -> int:
     dataset = load_dataset(args.data)
-    user_net = UserNet.load(args.user_ckpt)
-    poi_net = PoiNet.load(args.poi_ckpt)
+    user_net = _load_net(UserNet, args.user_ckpt, dataset)
+    poi_net = _load_net(PoiNet, args.poi_ckpt, dataset)
     user_index = {raw: i for i, raw in enumerate(dataset.user_raw)}
     poi_index = {raw: i for i, raw in enumerate(dataset.poi_raw)}
     if args.user not in user_index:
@@ -374,6 +397,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

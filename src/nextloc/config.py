@@ -139,7 +139,12 @@ def load_run_config(file_path=None, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    return coerce_into(RunConfig, merged, _CONVERTERS)
+    cfg = coerce_into(RunConfig, merged, _CONVERTERS)
+    if cfg.epochs < 0:
+        raise ConfigError(f"epochs must be at least 0, got {cfg.epochs}")
+    if not cfg.top_ks or min(cfg.top_ks) < 1:
+        raise ConfigError(f"top_ks must be one or more values of at least 1, got {cfg.top_ks}")
+    return cfg
 
 
 def config_hash(config) -> str:

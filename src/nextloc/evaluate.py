@@ -12,16 +12,33 @@ from __future__ import annotations
 import dataclasses
 import json
 from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
 from . import association
-from .data import Dataset, SyntheticSpec, generate_synthetic
+from .data import DataError, Dataset, SyntheticSpec, generate_synthetic
 from .poi_net import PoiNet
 from .user_net import UserNet
 
-VARIANTS = ("full", "no_cross_poi", "no_cross_user", "no_user_prediction",
-            "user_net_only", "poi_net_only")
+
+class Wiring(NamedTuple):
+    """Which parts a variant uses: each network and each similarity adjustment."""
+    user_net: bool
+    user_adj: bool
+    poi_net: bool
+    poi_adj: bool
+
+
+WIRING = {
+    "full": Wiring(True, True, True, True),
+    "no_cross_poi": Wiring(True, True, True, False),
+    "no_cross_user": Wiring(True, False, True, True),
+    "no_user_prediction": Wiring(True, True, False, False),
+    "user_net_only": Wiring(True, False, False, False),
+    "poi_net_only": Wiring(False, False, True, True),
+}
+VARIANTS = tuple(WIRING)
 
 FUSION_KINDS = ("maxpool", "weighted_add", "multiply", "minpool", "sum")
 
@@ -131,51 +148,88 @@ def _metrics_from_ranks(ranks: np.ndarray, ks) -> dict:
 # -- teacher-forced score rows ------------------------------------------------
 
 class _UserSideRows:
-    """Per-instance user-side score rows, raw and cross-user adjusted.
+    """User-side score rows for every test instance, raw and cross-user adjusted.
 
-    Rows are cached per (user, history-length) cut once; an instance at time t
-    assembles the full users-by-places matrix by bisecting every user's event
-    timeline, so each row reflects exactly the events before t.
+    ``instances`` lists the test events as (user, test index, event) in that
+    order; ``walk`` yields each instance's index into it with the user's own
+    row and, given a similarity matrix, the cross-user adjusted row.
+
+    static: one row per user at the end of training history
+    (``UserNet.predict_score_matrix``) and one ``adjust_user_scores`` product.
+
+    stepwise: a user's rows at the cuts of their history come from one
+    ``score_rows_at_cuts`` call: at every cut for cross-user rows, and only at
+    the cuts before test events otherwise.  For cross-user rows the walk
+    visits instances in time order and keeps a users-by-places matrix holding
+    each user's row at their current cut: a user's events with time strictly
+    before the instance's advance that row, so every user's row reflects
+    exactly the true events before the instance.  The adjusted row is
+    ``corr_u[user] @ current``, renormalised.  Cost: linear in events to
+    advance the rows, plus one users-by-places product per instance; no
+    per-instance row is kept.
     """
 
     def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,
                  mode: str = "stepwise"):
         if mode not in ("stepwise", "static"):
             raise ValueError(f"unknown user-side mode {mode!r}")
-        self.dataset = dataset
         self.corr_u = corr_u
         self.mode = mode
-        self.events = [dataset.train[u] + dataset.test[u] for u in range(dataset.n_users)]
-        self.times = [[e.t for e in evs] for evs in self.events]
-        self.cut_rows = [net.score_rows_at_cuts(self.events[u], u,
-                                                list(range(len(self.events[u]) + 1)))
-                         for u in range(dataset.n_users)]
-        self.train_len = [len(t) for t in dataset.train]
+        self.instances = [(u, k, e) for u in range(dataset.n_users)
+                          for k, e in enumerate(dataset.test[u])]
         if mode == "static":
-            self.static = np.stack([self.cut_rows[u][self.train_len[u]]
-                                    for u in range(dataset.n_users)])
-            if corr_u is not None:
-                self.static_adj = association.adjust_user_scores(corr_u, self.static)
+            self.static = net.predict_score_matrix(dataset)
+            self.static_adj = (association.adjust_user_scores(corr_u, self.static)
+                               if corr_u is not None else None)
+            return
+        self.events = [dataset.train[u] + dataset.test[u] for u in range(dataset.n_users)]
+        self.train_len = [len(t) for t in dataset.train]
+        # Own rows sit at the cut before each test event; cross-user rows can
+        # sit at any cut, as another user's instance may follow any event.
+        if corr_u is None:
+            self.first_cut = self.train_len
+            cuts = [range(first, len(evs)) for first, evs in zip(self.first_cut, self.events)]
+        else:
+            self.first_cut = [0] * dataset.n_users
+            cuts = [range(len(evs) + 1) for evs in self.events]
+        self.cut_rows = [net.score_rows_at_cuts(evs, u, user_cuts)
+                         for u, (evs, user_cuts) in enumerate(zip(self.events, cuts))]
 
-    def own_row(self, user: int, test_index: int) -> np.ndarray:
+    def walk(self):
+        """Yield (instance index, own row, adjusted row or None)."""
         if self.mode == "static":
-            return self.static[user]
-        return self.cut_rows[user][self.train_len[user] + test_index]
-
-    def matrix_at(self, t: int) -> np.ndarray:
-        rows = np.empty((self.dataset.n_users, self.dataset.n_pois))
-        for v in range(self.dataset.n_users):
-            rows[v] = self.cut_rows[v][bisect_left(self.times[v], t)]
-        return rows
-
-    def adjusted_row(self, user: int, test_index: int, t: int) -> np.ndarray:
+            for i, (u, _, _) in enumerate(self.instances):
+                yield i, self.static[u], (self.static_adj[u]
+                                          if self.static_adj is not None else None)
+            return
         if self.corr_u is None:
-            raise ValueError("cross-user adjustment requested without a similarity matrix")
-        if self.mode == "static":
-            return self.static_adj[user]
-        vec = self.corr_u[user] @ self.matrix_at(t)
-        total = vec.sum()
-        return vec / total if total > 0 else vec
+            for i, (u, k, _) in enumerate(self.instances):
+                yield i, self._own_row(u, k), None
+            return
+        # Every event as (time, user, cut after it), in time order; a stable
+        # sort keeps each user's events in cut order among equal times.
+        times = np.array([e.t for evs in self.events for e in evs], dtype=np.int64)
+        users = np.repeat(np.arange(len(self.events)), [len(evs) for evs in self.events])
+        cuts = np.concatenate([np.arange(1, len(evs) + 1) for evs in self.events])
+        order = np.argsort(times, kind="stable")
+        times, users, cuts = times[order], users[order].tolist(), cuts[order].tolist()
+        inst_t = np.array([e.t for _, _, e in self.instances], dtype=np.int64)
+        inst_order = np.argsort(inst_t, kind="stable")
+        # Events strictly before each instance, as a prefix of the stream.
+        visible = np.searchsorted(times, inst_t[inst_order], side="left").tolist()
+        current = np.stack([rows[0] for rows in self.cut_rows])
+        applied = 0
+        for i, upto in zip(inst_order.tolist(), visible):
+            for v, cut in zip(users[applied:upto], cuts[applied:upto]):
+                current[v] = self.cut_rows[v][cut]
+            applied = upto
+            u, k, _ = self.instances[i]
+            vec = self.corr_u[u] @ current
+            total = vec.sum()
+            yield i, self._own_row(u, k), (vec / total if total > 0 else vec)
+
+    def _own_row(self, user: int, test_index: int) -> np.ndarray:
+        return self.cut_rows[user][self.train_len[user] + test_index - self.first_cut[user]]
 
 
 class _PoiSideRows:
@@ -221,6 +275,14 @@ class _PoiSideRows:
 
 # -- single evaluation --------------------------------------------------------
 
+def check_fits(dataset: Dataset, net: UserNet | PoiNet) -> None:
+    """Refuse a network sized for another dataset's users or places."""
+    if (net.n_users, net.n_pois) != (dataset.n_users, dataset.n_pois):
+        raise DataError(f"{type(net).__name__} was built for {net.n_users} users and "
+                        f"{net.n_pois} places; the dataset has {dataset.n_users} users "
+                        f"and {dataset.n_pois} places")
+
+
 def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNet | None,
                        variant: str = "full", fusion: FusionStrategy = FusionStrategy(),
                        ks=(1, 5, 10), corr_u: np.ndarray | None = None,
@@ -228,55 +290,53 @@ def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiN
                        s_u_mode: str = "stepwise", s_l_mode: str = "static") -> dict:
     """Metrics for one trained model pair under one variant wiring.
 
-    Returns {"variant", "fusion", "n", "acc", "mrr", "unseen", "per_user"};
-    the "unseen" block restricts to test events whose target the user (or
-    place, for the next-visitor task) never saw in training — the cases only
-    the association can recover.
+    Returns {"variant", "fusion", "ranks", "n", "acc", "mrr", "unseen",
+    "per_user"}; "ranks" holds each test event's 1-based rank, by user (or
+    place, for the next-visitor task) and then in test order.  The "unseen"
+    block restricts to test events whose target the user (or place) never saw
+    in training — the cases only the association can recover.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n_candidates = dataset.n_users if variant == "poi_net_only" else dataset.n_pois
     if max(ks) > n_candidates:
         raise ValueError(f"top-k {max(ks)} exceeds the {n_candidates} candidates")
-    if variant != "poi_net_only" and user_net is None:
+    wiring = WIRING[variant]
+    if wiring.user_net and user_net is None:
         raise ValueError(f"variant {variant!r} needs a user-side network")
-
-    needs_user_adj = variant in ("full", "no_cross_poi", "no_user_prediction")
-    needs_poi_side = variant in ("full", "no_cross_poi", "no_cross_user", "poi_net_only")
-    needs_poi_adj = variant in ("full", "no_cross_user", "poi_net_only")
-    if needs_user_adj and corr_u is None:
+    if wiring.poi_net and poi_net is None:
+        raise ValueError(f"variant {variant!r} needs a place-side network")
+    for net in (user_net, poi_net):
+        if net is not None:
+            check_fits(dataset, net)
+    if wiring.user_adj and corr_u is None:
         corr_u = association.user_similarity(dataset)
-    if needs_poi_adj and corr_l is None:
+    if wiring.poi_adj and corr_l is None:
         corr_l = association.poi_similarity(dataset)
 
     if variant == "poi_net_only":
         poi_rows = _PoiSideRows(dataset, poi_net, corr_l, s_l, s_l_mode)
         return _evaluate_next_visitor(dataset, poi_rows, variant, fusion, ks)
 
-    user_rows = _UserSideRows(dataset, user_net, corr_u if needs_user_adj else None, s_u_mode)
-    poi_rows = (_PoiSideRows(dataset, poi_net, corr_l if needs_poi_adj else None, s_l, s_l_mode)
-                if needs_poi_side else None)
+    user_rows = _UserSideRows(dataset, user_net, corr_u if wiring.user_adj else None, s_u_mode)
+    poi_rows = (_PoiSideRows(dataset, poi_net, corr_l if wiring.poi_adj else None, s_l, s_l_mode)
+                if wiring.poi_net else None)
 
     train_sets = dataset.train_poi_sets()
-    ranks, unseen_mask, per_user_ranks = [], [], {}
-    for u in range(dataset.n_users):
-        for k_idx, event in enumerate(dataset.test[u]):
-            if variant == "user_net_only":
-                row = user_rows.own_row(u, k_idx)
-            elif variant == "no_user_prediction":
-                row = user_rows.adjusted_row(u, k_idx, event.t)
-            else:
-                if variant == "no_cross_user":
-                    user_part = user_rows.own_row(u, k_idx)
-                else:
-                    user_part = user_rows.adjusted_row(u, k_idx, event.t)
-                poi_matrix = (poi_rows.raw(event.t) if variant == "no_cross_poi"
-                              else poi_rows.adjusted(event.t))
-                row = _combine(user_part, poi_matrix[:, u], fusion)
-            rank = rank_of_truth(row, event.poi)
-            ranks.append(rank)
-            unseen_mask.append(event.poi not in train_sets[u])
-            per_user_ranks.setdefault(u, []).append(rank)
+    instances = user_rows.instances
+    ranks = np.empty(len(instances), dtype=np.int64)
+    for i, own, adjusted in user_rows.walk():
+        u, _, event = instances[i]
+        row = adjusted if wiring.user_adj else own
+        if poi_rows is not None:
+            poi_matrix = (poi_rows.adjusted(event.t) if wiring.poi_adj
+                          else poi_rows.raw(event.t))
+            row = _combine(row, poi_matrix[:, u], fusion)
+        ranks[i] = rank_of_truth(row, event.poi)
+    unseen_mask = [event.poi not in train_sets[u] for u, _, event in instances]
+    per_user_ranks = {}
+    for (u, _, _), rank in zip(instances, ranks.tolist()):
+        per_user_ranks.setdefault(u, []).append(rank)
     return _package(variant, fusion, ks, ranks, unseen_mask, per_user_ranks)
 
 
@@ -297,7 +357,7 @@ def _evaluate_next_visitor(dataset: Dataset, poi_rows: _PoiSideRows, variant: st
 def _package(variant, fusion, ks, ranks, unseen_mask, per_entity_ranks) -> dict:
     ranks = np.asarray(ranks)
     unseen_mask = np.asarray(unseen_mask, dtype=bool)
-    out = {"variant": variant, "fusion": fusion.label()}
+    out = {"variant": variant, "fusion": fusion.label(), "ranks": ranks.tolist()}
     out.update(_metrics_from_ranks(ranks, ks))
     if unseen_mask.any():
         out["unseen"] = _metrics_from_ranks(ranks[unseen_mask], ks)
@@ -422,13 +482,6 @@ def synthetic_battery(spec: SyntheticSpec | None = None, variants=VARIANTS,
                        variants, fusion, seeds,
                        settings if settings is not None else BATTERY_SETTINGS,
                        ks, **BATTERY_PROTOCOL)
-
-
-def run_variant(dataset: Dataset, variant: str, fusion: FusionStrategy = FusionStrategy(),
-                seeds=(0, 1, 2, 3, 4), settings: TrainSettings = TrainSettings(),
-                ks=(1, 5, 10)) -> EvalReport:
-    """Multi-seed report for a single variant on a fixed dataset."""
-    return run_battery(dataset, (variant,), fusion, seeds, settings, ks)[variant]
 
 
 def single_report(variant: str, fusion: FusionStrategy, ks, result: dict) -> EvalReport:

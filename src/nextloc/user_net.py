@@ -18,6 +18,9 @@ from .data import SECONDS_PER_DAY, CheckIn, Dataset
 
 EARTH_RADIUS_KM = 6371.0
 
+#: Cuts scored together by ``UserNet.score_rows_at_cuts``.
+CUT_BLOCK = 128
+
 
 def _haversine_arrays(lat1, lon1, lat2, lon2):
     """Great-circle distance in km; accepts broadcastable arrays of degrees."""
@@ -237,11 +240,18 @@ class UserNet:
         Cut c means "the first c events have happened"; the row predicts the
         following one.  Cut 0 (no history) yields a uniform row.  The
         recurrent pass runs once; each cut reweights its prefix of states from
-        the viewpoint of the prefix's last event.
+        the viewpoint of the prefix's last event.  Cuts are taken in ascending
+        blocks of ``CUT_BLOCK``: one masked, row-normalised weight matrix per
+        block, one product against the states and one output product, so
+        memory stays O(CUT_BLOCK x events).
         """
-        rows = np.empty((len(cuts), self.n_pois))
-        if not events:
-            rows[:] = 1.0 / self.n_pois
+        cuts = np.asarray(cuts, dtype=np.int64)
+        if cuts.size and (cuts.min() < 0 or cuts.max() > len(events)):
+            raise ValueError(f"cuts must lie in [0, {len(events)}]")
+        rows = np.full((cuts.size, self.n_pois), 1.0 / self.n_pois)
+        order = np.argsort(cuts, kind="stable")
+        order = order[cuts[order] > 0]
+        if order.size == 0:
             return rows
         states = self._hidden_states(events)
         ts = np.array([e.t for e in events], dtype=np.float64) / SECONDS_PER_DAY
@@ -249,17 +259,21 @@ class UserNet:
         lon = np.array([e.lon for e in events])
         u_vec = self.user_embeddings.values[user]
         w_out, b_out = self.w_out.values, self.b_out.values[0]
-        for i, cut in enumerate(cuts):
-            if cut == 0:
-                rows[i] = 1.0 / self.n_pois
-                continue
-            last = cut - 1
-            dt = ts[last] - ts[:cut]
-            dd = _haversine_arrays(lat[last], lon[last], lat[:cut], lon[:cut])
-            w = decay_weight(dt, dd, self.alpha, self.beta)
-            agg = (w / w.sum()) @ states[:cut]
-            logits = np.concatenate([agg, u_vec]) @ w_out + b_out
-            rows[i] = ad.softmax_rows(logits[None, :])[0]
+        for start in range(0, order.size, CUT_BLOCK):
+            idx = order[start:start + CUT_BLOCK]
+            block = cuts[idx]
+            width = int(block[-1])
+            last = block - 1
+            mask = np.arange(width) < block[:, None]
+            # Steps after a cut's last event are masked out; zeroing their
+            # time offsets keeps the decay finite before the mask applies.
+            dt = np.where(mask, ts[last, None] - ts[None, :width], 0.0)
+            dd = _haversine_arrays(lat[last, None], lon[last, None],
+                                   lat[None, :width], lon[None, :width])
+            w = np.where(mask, decay_weight(dt, dd, self.alpha, self.beta), 0.0)
+            agg = (w / w.sum(axis=1, keepdims=True)) @ states[:width]
+            combined = np.concatenate([agg, np.broadcast_to(u_vec, agg.shape)], axis=1)
+            rows[idx] = ad.softmax_rows(combined @ w_out + b_out)
         return rows
 
     def predict_score_matrix(self, dataset: Dataset, at: str = "train_end") -> np.ndarray:

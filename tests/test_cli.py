@@ -137,6 +137,13 @@ class TestTrain:
         assert payload["command"] == "train:poi"
         assert len(payload["config_sha256"]) == 64
 
+    def test_negative_epochs_is_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert cli.main(["train", "--data", str(data_dir), "--net", "user",
+                         "--epochs", "-3", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "epochs" in capsys.readouterr().err
+        assert not (out / "user_net.ckpt").exists()
+
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
         out = tmp_path / "init"
         assert cli.main(["train", "--data", str(data_dir), "--net", "user",
@@ -204,6 +211,58 @@ class TestEvaluate:
                          "--poi-ckpt", str(model_dir / "poi_net.ckpt"),
                          "--variant", "full",
                          "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
+
+    def test_variant_without_place_checkpoint(self, data_dir, model_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(model_dir / "user_net.ckpt"),
+                         "--variant", "full", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--poi-ckpt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_checkpoint_file_is_data_error(self, data_dir, model_dir, tmp_path):
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(model_dir / "absent.ckpt"),
+                         "--variant", "user_net_only",
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_DATA
+
+    def test_checkpoint_from_another_dataset_is_data_error(self, data_dir, model_dir,
+                                                            tmp_path, capsys):
+        other = tmp_path / "other"
+        assert cli.main(["synth", "--seed", "1", *SMALL_SET, "--set", "n_users=12",
+                         "--out", str(other / "data")]) == 0
+        assert cli.main(["train", "--data", str(other / "data"), "--net", "user",
+                         "--epochs", "0", "--dim", "4", "--out", str(other)]) == 0
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(other / "user_net.ckpt"),
+                         "--poi-ckpt", str(model_dir / "poi_net.ckpt"),
+                         "--variant", "all", "--out", str(out)]) == cli.EXIT_DATA
+        assert "12 users" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ks", ["0", "1,-5", ","])
+    def test_ks_below_one_is_usage_error(self, data_dir, model_dir, tmp_path, ks):
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(model_dir / "user_net.ckpt"),
+                         "--variant", "user_net_only", "--ks", ks,
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("mode", ["static", "stepwise"])
+    def test_all_variants_match_one_variant_runs(self, data_dir, model_dir, tmp_path, mode):
+        """Similarities and place rows built once for --variant all give the
+        same bytes as each variant evaluated on its own."""
+        nets = ["--user-ckpt", str(model_dir / "user_net.ckpt"),
+                "--poi-ckpt", str(model_dir / "poi_net.ckpt"), "--s-u-mode", mode]
+        assert cli.main(["evaluate", "--data", str(data_dir), *nets, "--variant", "all",
+                         "--out", str(tmp_path / "all")]) == 0
+        for variant in cli.VARIANTS:
+            one = tmp_path / variant
+            assert cli.main(["evaluate", "--data", str(data_dir), *nets,
+                             "--variant", variant, "--out", str(one)]) == 0
+            for suffix in ("json", "txt"):
+                name = f"report_{variant}.{suffix}"
+                assert (one / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
     def test_reruns_byte_identical(self, data_dir, model_dir, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]

@@ -1,15 +1,18 @@
 """Fusion, ranking, metric, and report tests."""
 
 import json
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from nextloc import association
-from nextloc.evaluate import (EvalReport, FusionStrategy, TrainSettings,
-                              acc_at_k, case_report, evaluate_with_nets, fuse,
-                              mrr, motivation_stats, rank_of_truth,
-                              rank_top_k, run_battery, single_report)
+from nextloc.data import CheckIn, DataError, build_dataset
+from nextloc.evaluate import (WIRING, EvalReport, FusionStrategy, TrainSettings,
+                              _UserSideRows, acc_at_k, case_report,
+                              evaluate_with_nets, fuse, mrr, motivation_stats,
+                              rank_of_truth, rank_top_k, run_battery,
+                              single_report)
 from nextloc.poi_net import PoiNet
 from nextloc.user_net import UserNet
 
@@ -217,6 +220,121 @@ class TestEvaluateWiring:
         assert wired["mrr"] == pytest.approx(alone["mrr"], abs=1e-12)
         for k in (1, 5, 10):
             assert wired["acc"][k] == pytest.approx(alone["acc"][k], abs=1e-12)
+
+
+USER_SIDE_VARIANTS = [v for v, w in WIRING.items() if w.user_net]
+
+
+@pytest.fixture(scope="module")
+def shared_times():
+    """Four users; users 0 and 1 check in at exactly the same moments, so a
+    cross-user row must leave out the other's simultaneous event."""
+    rng = np.random.default_rng(11)
+    records = []
+    for u in range(4):
+        for k in range(20):
+            t = 1_000_000 + k * 7_200 + (0 if u < 2 else 1_800 * u)
+            records.append(CheckIn(u, t, 40.0 + 0.01 * u, -75.0,
+                                   int(rng.integers(0, 6))))
+    ds = build_dataset(records, split_ratio=0.6, window=5)
+    return (ds, UserNet(ds.n_users, ds.n_pois, dim=4, beta=1.0, seed=3),
+            PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots, dim=4, slot_dim=2, seed=4))
+
+
+def brute_force_ranks(ds, user_net, s_l, corr_u, corr_l, variant, mode):
+    """Per-instance ranks from a users-by-places matrix rebuilt for every
+    instance: every user's row after their events strictly before it."""
+    events = [ds.train[v] + ds.test[v] for v in range(ds.n_users)]
+    times = [[e.t for e in evs] for evs in events]
+    cut_rows = [user_net.score_rows_at_cuts(evs, v, range(len(evs) + 1))
+                for v, evs in enumerate(events)]
+    train_len = [len(t) for t in ds.train]
+    static = np.stack([cut_rows[v][train_len[v]] for v in range(ds.n_users)])
+    static_adj = association.adjust_user_scores(corr_u, static)
+    s_l_adj = association.adjust_poi_scores(corr_l, s_l)
+    ranks = []
+    for u in range(ds.n_users):
+        for k, event in enumerate(ds.test[u]):
+            if mode == "static":
+                own, mixed = static[u], static_adj[u]
+            else:
+                own = cut_rows[u][train_len[u] + k]
+                matrix = np.stack([cut_rows[v][bisect_left(times[v], event.t)]
+                                   for v in range(ds.n_users)])
+                mixed = corr_u[u] @ matrix
+                mixed = mixed / mixed.sum() if mixed.sum() > 0 else mixed
+            row = {
+                "full": lambda: np.maximum(mixed, s_l_adj[:, u]),
+                "no_cross_poi": lambda: np.maximum(mixed, s_l[:, u]),
+                "no_cross_user": lambda: np.maximum(own, s_l_adj[:, u]),
+                "no_user_prediction": lambda: mixed,
+                "user_net_only": lambda: own,
+            }[variant]()
+            ranks.append(rank_of_truth(row, event.poi))
+    return ranks
+
+
+class TestTimeOrderedPass:
+    @pytest.fixture(scope="class", params=["small", "shared_times"])
+    def case(self, request, small_dataset, nets, shared_times):
+        ds, user_net, poi_net = ((small_dataset, *nets) if request.param == "small"
+                                 else shared_times)
+        return (ds, user_net, poi_net, association.user_similarity(ds),
+                association.poi_similarity(ds), poi_net.predict_score_matrix(ds))
+
+    @pytest.mark.parametrize("mode", ["stepwise", "static"])
+    @pytest.mark.parametrize("variant", USER_SIDE_VARIANTS)
+    def test_ranks_match_brute_force(self, case, variant, mode):
+        ds, user_net, poi_net, corr_u, corr_l, s_l = case
+        out = evaluate_with_nets(ds, user_net, poi_net, variant, ks=(1, 5), corr_u=corr_u,
+                                 corr_l=corr_l, s_l=s_l, s_u_mode=mode)
+        assert out["ranks"] == brute_force_ranks(ds, user_net, s_l, corr_u, corr_l,
+                                                 variant, mode)
+
+    def test_cross_user_rows_see_only_strictly_earlier_events(self, shared_times):
+        ds, user_net, _ = shared_times
+        corr_u = association.user_similarity(ds)
+        events = [ds.train[v] + ds.test[v] for v in range(ds.n_users)]
+        times = [[e.t for e in evs] for evs in events]
+        cut_rows = [user_net.score_rows_at_cuts(evs, v, range(len(evs) + 1))
+                    for v, evs in enumerate(events)]
+        rows = _UserSideRows(ds, user_net, corr_u, "stepwise")
+        differs_from_inclusive = False
+        for i, _, adjusted in rows.walk():
+            u, _, event = rows.instances[i]
+            for visible in (bisect_left, bisect_right):
+                matrix = np.stack([cut_rows[v][visible(times[v], event.t)]
+                                   for v in range(ds.n_users)])
+                want = corr_u[u] @ matrix
+                want = want / want.sum()
+                if visible is bisect_left:
+                    np.testing.assert_allclose(adjusted, want, rtol=0, atol=1e-12)
+                else:
+                    differs_from_inclusive |= not np.allclose(adjusted, want, rtol=0, atol=1e-9)
+        assert differs_from_inclusive
+
+    def test_static_mode_scores_one_cut_per_user(self, small_dataset, nets, monkeypatch):
+        user_net, poi_net = nets
+        scored = []
+        original = user_net.score_rows_at_cuts
+
+        def counting(events, user, cuts):
+            rows = original(events, user, cuts)
+            scored.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(user_net, "score_rows_at_cuts", counting)
+        evaluate_with_nets(small_dataset, user_net, poi_net, "full", s_u_mode="static")
+        assert sum(scored) == small_dataset.n_users
+
+    def test_network_for_another_dataset_rejected(self, small_dataset, shared_times):
+        _, user_net, poi_net = shared_times
+        with pytest.raises(DataError, match="users"):
+            evaluate_with_nets(small_dataset, user_net, poi_net, "full")
+
+    def test_place_side_required(self, small_dataset, nets):
+        with pytest.raises(ValueError, match="place-side"):
+            evaluate_with_nets(small_dataset, nets[0], None, variant="no_cross_user")
 
 
 class TestReports:

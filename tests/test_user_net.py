@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from nextloc.data import CheckIn, build_dataset
-from nextloc.user_net import UserNet, decay_weight, haversine_km
+from nextloc import autodiff as ad
+from nextloc.data import SECONDS_PER_DAY, CheckIn, build_dataset
+from nextloc.user_net import CUT_BLOCK, UserNet, decay_weight, haversine_km
 
 
 def cycle_records(n_pois=3, n_events=40, user=0, start=1_000_000):
@@ -131,6 +132,64 @@ class TestForward:
         base = net.score_rows_at_cuts(events, 0, [4, 9])
         moved = permuted.score_rows_at_cuts(renamed, 0, [4, 9])
         np.testing.assert_allclose(moved[:, perm], base, atol=1e-12)
+
+
+def per_cut_rows(net, events, user, cuts):
+    """One cut at a time: reweight the prefix's states from its last event."""
+    states = net._hidden_states(events)
+    rows = []
+    for cut in cuts:
+        if cut == 0:
+            rows.append(np.full(net.n_pois, 1.0 / net.n_pois))
+            continue
+        last = events[cut - 1]
+        w = np.array([decay_weight((last.t - e.t) / SECONDS_PER_DAY,
+                                   haversine_km((last.lat, last.lon), (e.lat, e.lon)),
+                                   net.alpha, net.beta) for e in events[:cut]])
+        agg = (w / w.sum()) @ states[:cut]
+        logits = np.concatenate([agg, net.user_embeddings.values[user]]) @ net.w_out.values
+        rows.append(ad.softmax_rows((logits + net.b_out.values[0])[None, :])[0])
+    return np.array(rows)
+
+
+class TestCutRows:
+    @pytest.fixture(scope="class")
+    def wandering(self):
+        """A history longer than one block of cuts, at uneven times and places."""
+        rng = np.random.default_rng(5)
+        n = CUT_BLOCK + 70
+        times = 1_000_000 + np.cumsum(rng.integers(600, 3 * 86_400, n))
+        return [CheckIn(1, int(t), float(rng.uniform(40, 41)), float(rng.uniform(-75, -74)),
+                        int(rng.integers(0, 6))) for t in times]
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return UserNet(n_users=2, n_pois=6, dim=5, beta=1.0, seed=2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_cut_loop_for_shuffled_and_repeated_cuts(self, net, wandering, seed):
+        rng = np.random.default_rng(seed)
+        cuts = rng.integers(0, len(wandering) + 1, size=2 * CUT_BLOCK + 11)
+        cuts[:3] = [0, len(wandering), 1]
+        np.testing.assert_allclose(net.score_rows_at_cuts(wandering, 1, cuts),
+                                   per_cut_rows(net, wandering, 1, cuts), rtol=0, atol=1e-12)
+
+    def test_order_of_cuts_only_permutes_rows(self, net, wandering):
+        cuts = np.arange(len(wandering) + 1)
+        perm = np.random.default_rng(9).permutation(cuts.size)
+        np.testing.assert_allclose(net.score_rows_at_cuts(wandering, 1, cuts[perm]),
+                                   net.score_rows_at_cuts(wandering, 1, cuts)[perm],
+                                   rtol=0, atol=1e-12)
+
+    def test_cut_zero_is_uniform_and_no_cuts_is_empty(self, net, wandering):
+        np.testing.assert_array_equal(net.score_rows_at_cuts(wandering, 1, [0, 0]),
+                                      np.full((2, 6), 1.0 / 6))
+        assert net.score_rows_at_cuts(wandering, 1, []).shape == (0, 6)
+
+    @pytest.mark.parametrize("cut", [-1, CUT_BLOCK + 71])
+    def test_cut_outside_history_rejected(self, net, wandering, cut):
+        with pytest.raises(ValueError, match="cuts"):
+            net.score_rows_at_cuts(wandering, 1, [3, cut])
 
 
 class TestTraining:
