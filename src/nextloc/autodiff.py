@@ -9,9 +9,12 @@ an op forward-only, which is what prediction paths use.
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .data import DataError
 
 
 class NumericsError(RuntimeError):
@@ -364,19 +367,26 @@ def save_checkpoint(path, named: Mapping[str, Tensor]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read save_checkpoint's layout; any departure from it raises DataError."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
+            raise DataError(f"{path}: not a checkpoint file")
+        size = os.fstat(f.fileno()).st_size
         while True:
             header = f.readline()
             if not header:
                 break
-            fields = header.decode("ascii").split()
-            name, dims = fields[0], tuple(int(n) for n in fields[1:])
-            count = math.prod(dims) if dims else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated entry {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+            try:  # UnicodeDecodeError, and numpy's too-many-dimensions error, are ValueErrors
+                name, *fields = header.decode("ascii").split()
+                dims = tuple(int(n) for n in fields)
+                nbytes = math.prod(dims) * 8
+                # Sized against the file first, so a huge dimension cannot ask
+                # for a huge read.
+                if min(dims, default=0) < 0 or name in out or nbytes > size - f.tell():
+                    raise ValueError("negative dimension, repeated name or truncated buffer")
+                raw = np.frombuffer(f.read(nbytes), dtype="<f8")
+                out[name] = raw.astype(np.float64).reshape(dims)
+            except ValueError as exc:
+                raise DataError(f"{path}: bad entry {header[:60]!r}: {exc}") from exc
     return out

@@ -162,7 +162,7 @@ def _load_net(cls, path, dataset):
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args.config, {
         "variant": args.variant, "fusion": args.fusion, "top_ks": args.ks,
-        "s_u_mode": args.s_u_mode, "s_l_mode": args.s_l_mode,
+        "s_u_mode": args.s_u_mode,
     })
     if cfg.variant not in VARIANTS + ("all",):
         raise ConfigError(f"unknown variant {cfg.variant!r}; "
@@ -191,7 +191,7 @@ def cmd_evaluate(args) -> int:
         result = evaluate.evaluate_with_nets(dataset, user_net, poi_net, variant,
                                              fusion, ks=cfg.top_ks, corr_u=corr_u,
                                              corr_l=corr_l, s_l=s_l,
-                                             s_u_mode=cfg.s_u_mode, s_l_mode=cfg.s_l_mode)
+                                             s_u_mode=cfg.s_u_mode)
         report = evaluate.single_report(variant, fusion, cfg.top_ks, result)
         with open(os.path.join(out, f"report_{variant}.json"), "w", encoding="utf-8") as f:
             f.write(report.to_json())
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fusion", default=None)
     p.add_argument("--ks", default=None, help="comma list, default 1,5,10")
     p.add_argument("--s-u-mode", choices=("stepwise", "static"), default=None)
-    p.add_argument("--s-l-mode", choices=("static", "stepwise"), default=None)
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

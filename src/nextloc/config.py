@@ -68,7 +68,6 @@ class RunConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     top_ks: tuple = (1, 5, 10)
     s_u_mode: str = "stepwise"      # user-side rows advance through test time
-    s_l_mode: str = "static"        # place-side rows stay at end of training
 
 
 _CONVERTERS = {
@@ -91,7 +90,6 @@ _CONVERTERS = {
     "seeds": _int_tuple,
     "top_ks": _int_tuple,
     "s_u_mode": _str,
-    "s_l_mode": _str,
 }
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -232,47 +231,6 @@ class _UserSideRows:
         return self.cut_rows[user][self.train_len[user] + test_index - self.first_cut[user]]
 
 
-class _PoiSideRows:
-    """Place-side rows: frozen after training history by default; the stepwise
-    mode (experimental) re-advances each place's state on observed test events."""
-
-    def __init__(self, dataset: Dataset, net: PoiNet, corr_l: np.ndarray | None,
-                 s_l: np.ndarray | None, mode: str = "static"):
-        if mode not in ("static", "stepwise"):
-            raise ValueError(f"unknown place-side mode {mode!r}")
-        self.dataset = dataset
-        self.corr_l = corr_l
-        self.mode = mode
-        self.s_l = net.predict_score_matrix(dataset) if s_l is None else s_l
-        self.s_l_adj = (association.adjust_poi_scores(corr_l, self.s_l)
-                        if corr_l is not None else None)
-        if mode == "stepwise":
-            self.events = [dataset.poi_train[p] + dataset.poi_test[p]
-                           for p in range(dataset.n_pois)]
-            self.times = [[e.t for e in evs] for evs in self.events]
-            self.cut_rows = [net.score_rows_at_cuts(self.events[p], p,
-                                                    list(range(len(self.events[p]) + 1)))
-                             for p in range(dataset.n_pois)]
-
-    def _matrix_at(self, t: int) -> np.ndarray:
-        rows = np.empty((self.dataset.n_pois, self.dataset.n_users))
-        for p in range(self.dataset.n_pois):
-            rows[p] = self.cut_rows[p][bisect_left(self.times[p], t)]
-        return rows
-
-    def raw(self, t: int) -> np.ndarray:
-        if self.mode == "static":
-            return self.s_l
-        return self._matrix_at(t)
-
-    def adjusted(self, t: int) -> np.ndarray:
-        if self.corr_l is None:
-            raise ValueError("cross-place adjustment requested without a similarity matrix")
-        if self.mode == "static":
-            return self.s_l_adj
-        return association.adjust_poi_scores(self.corr_l, self._matrix_at(t))
-
-
 # -- single evaluation --------------------------------------------------------
 
 def check_fits(dataset: Dataset, net: UserNet | PoiNet) -> None:
@@ -287,7 +245,7 @@ def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiN
                        variant: str = "full", fusion: FusionStrategy = FusionStrategy(),
                        ks=(1, 5, 10), corr_u: np.ndarray | None = None,
                        corr_l: np.ndarray | None = None, s_l: np.ndarray | None = None,
-                       s_u_mode: str = "stepwise", s_l_mode: str = "static") -> dict:
+                       s_u_mode: str = "stepwise") -> dict:
     """Metrics for one trained model pair under one variant wiring.
 
     Returns {"variant", "fusion", "ranks", "n", "acc", "mrr", "unseen",
@@ -314,24 +272,25 @@ def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiN
     if wiring.poi_adj and corr_l is None:
         corr_l = association.poi_similarity(dataset)
 
+    # Place-side rows stay at the end of training history for every instance
+    # (see the module docstring), so the cross-place adjustment runs once.
+    if wiring.poi_net:
+        if s_l is None:
+            s_l = poi_net.predict_score_matrix(dataset)
+        if wiring.poi_adj:
+            s_l = association.adjust_poi_scores(corr_l, s_l)
     if variant == "poi_net_only":
-        poi_rows = _PoiSideRows(dataset, poi_net, corr_l, s_l, s_l_mode)
-        return _evaluate_next_visitor(dataset, poi_rows, variant, fusion, ks)
+        return _evaluate_next_visitor(dataset, s_l, variant, fusion, ks)
 
     user_rows = _UserSideRows(dataset, user_net, corr_u if wiring.user_adj else None, s_u_mode)
-    poi_rows = (_PoiSideRows(dataset, poi_net, corr_l if wiring.poi_adj else None, s_l, s_l_mode)
-                if wiring.poi_net else None)
-
     train_sets = dataset.train_poi_sets()
     instances = user_rows.instances
     ranks = np.empty(len(instances), dtype=np.int64)
     for i, own, adjusted in user_rows.walk():
         u, _, event = instances[i]
         row = adjusted if wiring.user_adj else own
-        if poi_rows is not None:
-            poi_matrix = (poi_rows.adjusted(event.t) if wiring.poi_adj
-                          else poi_rows.raw(event.t))
-            row = _combine(row, poi_matrix[:, u], fusion)
+        if wiring.poi_net:
+            row = _combine(row, s_l[:, u], fusion)
         ranks[i] = rank_of_truth(row, event.poi)
     unseen_mask = [event.poi not in train_sets[u] for u, _, event in instances]
     per_user_ranks = {}
@@ -340,14 +299,13 @@ def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiN
     return _package(variant, fusion, ks, ranks, unseen_mask, per_user_ranks)
 
 
-def _evaluate_next_visitor(dataset: Dataset, poi_rows: _PoiSideRows, variant: str,
+def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray, variant: str,
                            fusion: FusionStrategy, ks) -> dict:
     train_visitors = [{e.user for e in evs} for evs in dataset.poi_train]
     ranks, unseen_mask, per_poi_ranks = [], [], {}
     for p in range(dataset.n_pois):
         for event in dataset.poi_test[p]:
-            row = poi_rows.adjusted(event.t)[p]
-            rank = rank_of_truth(row, event.user)
+            rank = rank_of_truth(s_l_adj[p], event.user)
             ranks.append(rank)
             unseen_mask.append(event.user not in train_visitors[p])
             per_poi_ranks.setdefault(p, []).append(rank)
@@ -433,9 +391,8 @@ def train_nets(dataset: Dataset, settings: TrainSettings, seed: int):
 
 def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrategy(),
                 seeds=(0, 1, 2, 3, 4), settings: TrainSettings = TrainSettings(),
-                ks=(1, 5, 10), s_u_mode: str = "stepwise", s_l_mode: str = "static",
-                same_day: bool = False, top_k_users: int | None = None,
-                top_k_pois: int | None = None) -> dict[str, "EvalReport"]:
+                ks=(1, 5, 10), s_u_mode: str = "stepwise", same_day: bool = False,
+                top_k_users: int | None = None, top_k_pois: int | None = None) -> dict[str, "EvalReport"]:
     """Train once per seed, evaluate every requested variant from shared parts.
 
     ``source`` is either a fixed Dataset (seeds vary initialization/training)
@@ -456,7 +413,7 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
         for variant in variants:
             result = evaluate_with_nets(dataset, user_net, poi_net, variant, fusion,
                                         ks=ks, corr_u=corr_u, corr_l=corr_l, s_l=s_l,
-                                        s_u_mode=s_u_mode, s_l_mode=s_l_mode)
+                                        s_u_mode=s_u_mode)
             result["seed"] = seed
             per_variant[variant].append(result)
     return {v: _aggregate(v, fusion, ks, seeds, runs) for v, runs in per_variant.items()}
@@ -467,8 +424,7 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
 #: to the three strongest per row, dense place links, and training settings
 #: sized to the synthetic data's scale (beta is per km; synthetic zones sit
 #: tens of km apart, so the default distance decay would sever them).
-BATTERY_PROTOCOL = dict(s_u_mode="static", s_l_mode="static",
-                        same_day=True, top_k_users=3, top_k_pois=None)
+BATTERY_PROTOCOL = dict(s_u_mode="static", same_day=True, top_k_users=3, top_k_pois=None)
 BATTERY_SETTINGS = TrainSettings(epochs=150, lr=0.01, beta=1.0)
 
 

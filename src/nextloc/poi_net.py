@@ -12,9 +12,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, VisitEvent
+from .net import WindowNet
 
 
-class PoiNet:
+class PoiNet(WindowNet):
+    target_field = "user"
+    window_pool = "poi_windows"
+    description = "next-visitor network"
+
     def __init__(self, n_users: int, n_pois: int, n_slots: int = 24, dim: int = 10,
                  slot_dim: int = 4, seed: int = 0):
         self.n_users = n_users
@@ -50,27 +55,12 @@ class PoiNet:
             "b_out": self.b_out,
         }
 
-    def parameters(self) -> list[ad.Tensor]:
-        return list(self.named_parameters().values())
-
-    def save(self, path) -> None:
-        ad.save_checkpoint(path, self.named_parameters())
-
     @classmethod
-    def load(cls, path) -> "PoiNet":
-        arrays = ad.load_checkpoint(path)
-        expected = {"user_embeddings", "slot_embeddings", "weekday_embeddings",
-                    "poi_embeddings", "w_hidden", "w_input", "b_hidden", "w_out", "b_out"}
-        if set(arrays) != expected:
-            raise ValueError(f"{path}: not a next-visitor network checkpoint "
-                             f"(entries {sorted(arrays)})")
+    def _from_checkpoint(cls, arrays) -> "PoiNet":
         n_users, dim = arrays["user_embeddings"].shape
-        net = cls(n_users, arrays["poi_embeddings"].shape[0],
-                  n_slots=arrays["slot_embeddings"].shape[0], dim=dim,
-                  slot_dim=arrays["slot_embeddings"].shape[1])
-        for name, tensor in net.named_parameters().items():
-            tensor.values[...] = arrays[name]
-        return net
+        n_slots, slot_dim = arrays["slot_embeddings"].shape
+        return cls(n_users, arrays["poi_embeddings"].shape[0], n_slots=n_slots,
+                   dim=dim, slot_dim=slot_dim)
 
     # -- forward -------------------------------------------------------------
 
@@ -83,11 +73,6 @@ class PoiNet:
             ad.embedding_lookup(self.slot_embeddings, slots, tape),
             ad.embedding_lookup(self.weekday_embeddings, days, tape),
         ], axis=1, tape=tape)
-
-    def forward_window(self, window: list[VisitEvent], tape: ad.Tape | None = None) -> ad.Tensor:
-        if len(window) < 2:
-            raise ValueError("window must contain an input step and a target")
-        return self._forward_batch([window], tape)
 
     def _forward_batch(self, windows: list[list[VisitEvent]], tape: ad.Tape | None) -> ad.Tensor:
         """Stacked next-visitor logits for same-length windows: (K*B, n_users)."""
@@ -106,56 +91,6 @@ class PoiNet:
             combined = ad.concat([h, poi_vecs], axis=1, tape=tape)
             step_logits.append(ad.add(ad.matmul(combined, self.w_out, tape), self.b_out, tape))
         return ad.concat(step_logits, axis=0, tape=tape) if len(step_logits) > 1 else step_logits[0]
-
-    def window_loss(self, windows: list[list[VisitEvent]], tape: ad.Tape | None = None) -> ad.Tensor:
-        logits = self._forward_batch(windows, tape)
-        targets = np.array([w[k + 1].user for k in range(len(windows[0]) - 1) for w in windows])
-        return ad.softmax_cross_entropy(logits, targets, tape)
-
-    # -- training ------------------------------------------------------------
-
-    def train(self, dataset: Dataset, epochs: int, seed: int = 0, lr: float = 1e-3,
-              optimizer: str = "adam", batch_size: int | None = None,
-              windows: list[list[VisitEvent]] | None = None) -> list[float]:
-        """Mirror of the user-side loop over per-place visitor windows."""
-        pool = list(dataset.poi_windows if windows is None else windows)
-        if not pool:
-            raise ValueError("no training windows")
-        opt = ad.make_optimizer(optimizer, self.parameters(), lr)
-        rng = np.random.default_rng(seed)
-        log: list[float] = []
-        for _ in range(epochs):
-            if batch_size is None:
-                chunks = [pool]
-            else:
-                order = rng.permutation(len(pool))
-                chunks = [[pool[i] for i in order[s:s + batch_size]]
-                          for s in range(0, len(pool), batch_size)]
-            epoch_loss = 0.0
-            epoch_rows = 0
-            for chunk in chunks:
-                tape = ad.Tape()
-                loss = self._chunk_loss(chunk, tape)
-                tape.backward(loss)
-                opt.step()
-                rows = sum(len(w) - 1 for w in chunk)
-                epoch_loss += float(loss.values) * rows
-                epoch_rows += rows
-            log.append(epoch_loss / epoch_rows)
-        return log
-
-    def _chunk_loss(self, chunk: list[list[VisitEvent]], tape: ad.Tape | None) -> ad.Tensor:
-        groups: dict[int, list[list[VisitEvent]]] = {}
-        for w in chunk:
-            groups.setdefault(len(w), []).append(w)
-        total_rows = sum(len(w) - 1 for w in chunk)
-        loss = None
-        for length in sorted(groups):
-            batch = groups[length]
-            part = ad.scale(self.window_loss(batch, tape),
-                            (length - 1) * len(batch) / total_rows, tape)
-            loss = part if loss is None else ad.add(loss, part, tape)
-        return loss
 
     # -- prediction ----------------------------------------------------------
 

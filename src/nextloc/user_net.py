@@ -9,12 +9,11 @@ concatenated with a per-user embedding and mapped to a score over all places.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
 from .data import SECONDS_PER_DAY, CheckIn, Dataset
+from .net import WindowNet
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -51,8 +50,12 @@ def decay_weight(delta_t_days, delta_d_km, alpha: float = 0.1, beta: float = 100
     return w
 
 
-class UserNet:
+class UserNet(WindowNet):
     """Scores the next place for each user from their check-in trajectory."""
+
+    target_field = "poi"
+    window_pool = "user_windows"
+    description = "next-place network"
 
     def __init__(self, n_users: int, n_pois: int, dim: int = 10,
                  alpha: float = 0.1, beta: float = 100.0, seed: int = 0):
@@ -85,32 +88,20 @@ class UserNet:
             "b_out": self.b_out,
         }
 
-    def parameters(self) -> list[ad.Tensor]:
-        return list(self.named_parameters().values())
-
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path) -> None:
-        named = dict(self.named_parameters())
+    def _checkpoint_entries(self) -> dict[str, ad.Tensor]:
+        # The decay rates are fixed settings, saved beside the parameters.
+        named = self.named_parameters()
         named["alpha"] = ad.Tensor(self.alpha)
         named["beta"] = ad.Tensor(self.beta)
-        ad.save_checkpoint(path, named)
+        return named
 
     @classmethod
-    def load(cls, path) -> "UserNet":
-        arrays = ad.load_checkpoint(path)
-        expected = {"poi_embeddings", "user_embeddings", "w_hidden", "w_input",
-                    "b_hidden", "w_out", "b_out", "alpha", "beta"}
-        if set(arrays) != expected:
-            raise ValueError(f"{path}: not a next-place network checkpoint "
-                             f"(entries {sorted(arrays)})")
+    def _from_checkpoint(cls, arrays) -> "UserNet":
         n_pois, dim = arrays["poi_embeddings"].shape
-        n_users = arrays["user_embeddings"].shape[0]
-        net = cls(n_users, n_pois, dim,
-                  alpha=float(arrays["alpha"]), beta=float(arrays["beta"]))
-        for name, tensor in net.named_parameters().items():
-            tensor.values[...] = arrays[name]
-        return net
+        return cls(arrays["user_embeddings"].shape[0], n_pois, dim,
+                   alpha=float(arrays["alpha"]), beta=float(arrays["beta"]))
 
     # -- decay machinery -----------------------------------------------------
 
@@ -129,12 +120,6 @@ class UserNet:
         return w / w.sum(axis=-1, keepdims=True)
 
     # -- forward -------------------------------------------------------------
-
-    def forward_window(self, window: list[CheckIn], tape: ad.Tape | None = None) -> ad.Tensor:
-        """Logits for each predicted step of one sub-sequence: (len-1, n_pois)."""
-        if len(window) < 2:
-            raise ValueError("window must contain an input step and a target")
-        return self._forward_batch([window], tape)
 
     def _forward_batch(self, windows: list[list[CheckIn]], tape: ad.Tape | None) -> ad.Tensor:
         """Stacked logits for same-length windows: (K*B, n_pois), step-major."""
@@ -164,61 +149,6 @@ class UserNet:
             combined = ad.concat([agg, user_vecs], axis=1, tape=tape)
             step_logits.append(ad.add(ad.matmul(combined, self.w_out, tape), self.b_out, tape))
         return ad.concat(step_logits, axis=0, tape=tape) if len(step_logits) > 1 else step_logits[0]
-
-    def window_loss(self, windows: list[list[CheckIn]], tape: ad.Tape | None = None) -> ad.Tensor:
-        """Mean next-place cross-entropy over same-length windows."""
-        logits = self._forward_batch(windows, tape)
-        targets = np.array([w[k + 1].poi for k in range(len(windows[0]) - 1) for w in windows])
-        return ad.softmax_cross_entropy(logits, targets, tape)
-
-    # -- training ------------------------------------------------------------
-
-    def train(self, dataset: Dataset, epochs: int, seed: int = 0, lr: float = 1e-3,
-              optimizer: str = "adam", batch_size: int | None = None,
-              windows: list[list[CheckIn]] | None = None) -> list[float]:
-        """Fit on the training sub-sequences; returns the per-epoch loss log.
-
-        Default is one full-batch step per epoch (windows grouped by length).
-        With batch_size set, windows are reshuffled each epoch from the seed.
-        """
-        pool = list(dataset.user_windows if windows is None else windows)
-        if not pool:
-            raise ValueError("no training windows")
-        opt = ad.make_optimizer(optimizer, self.parameters(), lr)
-        rng = np.random.default_rng(seed)
-        log: list[float] = []
-        for _ in range(epochs):
-            if batch_size is None:
-                chunks = [pool]
-            else:
-                order = rng.permutation(len(pool))
-                chunks = [[pool[i] for i in order[s:s + batch_size]]
-                          for s in range(0, len(pool), batch_size)]
-            epoch_loss = 0.0
-            epoch_rows = 0
-            for chunk in chunks:
-                tape = ad.Tape()
-                loss = self._chunk_loss(chunk, tape)
-                tape.backward(loss)
-                opt.step()
-                rows = sum(len(w) - 1 for w in chunk)
-                epoch_loss += float(loss.values) * rows
-                epoch_rows += rows
-            log.append(epoch_loss / epoch_rows)
-        return log
-
-    def _chunk_loss(self, chunk: list[list[CheckIn]], tape: ad.Tape | None) -> ad.Tensor:
-        groups: dict[int, list[list[CheckIn]]] = {}
-        for w in chunk:
-            groups.setdefault(len(w), []).append(w)
-        total_rows = sum(len(w) - 1 for w in chunk)
-        loss = None
-        for length in sorted(groups):
-            batch = groups[length]
-            part = ad.scale(self.window_loss(batch, tape),
-                            (length - 1) * len(batch) / total_rows, tape)
-            loss = part if loss is None else ad.add(loss, part, tape)
-        return loss
 
     # -- prediction ----------------------------------------------------------
 

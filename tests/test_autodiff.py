@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextloc import autodiff as ad
+from nextloc.data import DataError
 
 
 def tracked(x):
@@ -219,6 +222,52 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_bytes(b"something else entirely")
     with pytest.raises(ValueError):
         ad.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry", [
+    b"\n",
+    b"w\xe9ights 2\n" + bytes(16),
+    b"weights -2\n",
+    b"weights two\n",
+    b"weights 99999999999999\n",
+    b"weights 2\n" + bytes(8),
+    b"a\n" + bytes(8) + b"a\n" + bytes(8),
+    b"w 0" + b" 1" * 70 + b"\n",
+], ids=["empty_header", "non_ascii_name", "negative_dim", "non_integer_dim",
+        "more_than_the_file_holds", "truncated_buffer", "repeated_name",
+        "more_dims_than_numpy_allows"])
+def test_checkpoint_malformed_entries_are_data_errors(tmp_path, entry):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(ad._CKPT_MAGIC + entry)
+    with pytest.raises(DataError):
+        ad.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.ckpt"
+
+
+def _entries(parts):
+    return b"".join(f"{name} {' '.join(map(str, dims))}\n".encode("utf-8") + payload
+                    for name, dims, payload in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.tuples(st.text(max_size=6),
+                       st.lists(st.integers(-2, 2**40) | st.integers(0, 3), max_size=3),
+                       st.binary(max_size=48)), max_size=4).map(_entries),
+))
+def test_checkpoint_fuzz_loads_or_raises_data_error(fuzz_path, body):
+    """Whatever follows the magic line either loads or raises DataError."""
+    fuzz_path.write_bytes(ad._CKPT_MAGIC + body)
+    try:
+        loaded = ad.load_checkpoint(fuzz_path)
+    except DataError:
+        return
+    assert all(a.dtype == np.float64 for a in loaded.values())
 
 
 def test_checkpoint_name_with_spaces(tmp_path):

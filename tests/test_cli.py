@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nextloc import association, cli
+from nextloc import autodiff as ad
 from nextloc.config import (ConfigError, RunConfig, coerce_into, config_hash,
                             load_run_config, parse_flat_file)
 from nextloc.data import SyntheticSpec, format_timestamp, load_dataset
@@ -48,6 +49,22 @@ def model_dir(data_dir, tmp_path_factory):
     assert cli.main(["train", "--data", str(data_dir), "--net", "poi",
                      "--slot-dim", "2", *common]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def bad_user_ckpts(model_dir, tmp_path_factory):
+    """Files given as --user-ckpt that must end in a data error, with the
+    text the message must carry."""
+    out = tmp_path_factory.mktemp("bad")
+    text = out / "notes.txt"
+    text.write_text("not a checkpoint at all\n")
+    arrays = ad.load_checkpoint(model_dir / "user_net.ckpt")
+    arrays["b_out"] = arrays["b_out"][:, :1]     # broadcastable into (1, n_pois)
+    shape = out / "narrow_bias.ckpt"
+    ad.save_checkpoint(shape, {name: ad.Tensor(a) for name, a in arrays.items()})
+    return {"wrong_kind": (model_dir / "poi_net.ckpt", "not a next-place"),
+            "not_a_checkpoint": (text, "not a checkpoint"),
+            "wrong_shape": (shape, "b_out")}
 
 
 class TestSynth:
@@ -241,6 +258,28 @@ class TestEvaluate:
         assert "12 users" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["wrong_kind", "not_a_checkpoint", "wrong_shape"])
+    def test_bad_checkpoint_is_data_error(self, data_dir, bad_user_ckpts, tmp_path,
+                                          capsys, case):
+        path, message = bad_user_ckpts[case]
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", "--data", str(data_dir), "--user-ckpt", str(path),
+                         "--variant", "user_net_only", "--out", str(out)]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_place_row_mode_key_is_usage_error(self, data_dir, model_dir,
+                                                        tmp_path, capsys):
+        """Place-side rows have one protocol; a config that still picks one
+        is refused by name rather than ignored."""
+        conf = tmp_path / "run.conf"
+        conf.write_text("s_l_mode = static\n")
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(model_dir / "user_net.ckpt"),
+                         "--variant", "user_net_only", "--config", str(conf),
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
+        assert "unknown config key 's_l_mode'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ks", ["0", "1,-5", ","])
     def test_ks_below_one_is_usage_error(self, data_dir, model_dir, tmp_path, ks):
         assert cli.main(["evaluate", "--data", str(data_dir),
@@ -326,6 +365,15 @@ class TestCase:
         assert payload["user"] == "u003"
         assert len(payload["top_pois_for_user"]) == 3
         assert json.loads(capsys.readouterr().out) == payload
+
+    @pytest.mark.parametrize("case", ["wrong_kind", "not_a_checkpoint", "wrong_shape"])
+    def test_bad_checkpoint_is_data_error(self, data_dir, model_dir, bad_user_ckpts,
+                                          capsys, case):
+        path, message = bad_user_ckpts[case]
+        assert cli.main(["case", "--data", str(data_dir), "--user-ckpt", str(path),
+                         "--poi-ckpt", str(model_dir / "poi_net.ckpt"),
+                         "--user", "u003", "--poi", "p007"]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
 
     def test_unknown_raw_id(self, data_dir, model_dir, tmp_path):
         assert cli.main(["case", "--data", str(data_dir),

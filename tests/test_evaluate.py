@@ -163,8 +163,7 @@ class TestEvaluateWiring:
         with pytest.raises(ValueError, match="user-side"):
             evaluate_with_nets(small_dataset, None, nets[1], variant="full")
 
-    @pytest.mark.parametrize("mode_kw", [{"s_u_mode": "frozen"},
-                                         {"s_l_mode": "live"}])
+    @pytest.mark.parametrize("mode_kw", [{"s_u_mode": "frozen"}])
     def test_unknown_row_modes_rejected(self, small_dataset, nets, mode_kw):
         with pytest.raises(ValueError, match="mode"):
             evaluate_with_nets(small_dataset, *nets, **mode_kw)
@@ -201,7 +200,7 @@ class TestEvaluateWiring:
 
         out = evaluate_with_nets(ds, user_net, poi_net, variant="full",
                                  corr_u=corr_u, corr_l=corr_l, s_l=s_l,
-                                 s_u_mode="static", s_l_mode="static")
+                                 s_u_mode="static")
         assert out["mrr"] == expected
 
     def test_identity_wiring_collapses_to_single_net(self, small_dataset, nets):
@@ -216,7 +215,7 @@ class TestEvaluateWiring:
         wired = evaluate_with_nets(ds, user_net, poi_net, variant="full",
                                    corr_u=eye_u, corr_l=eye_l,
                                    s_l=np.zeros((ds.n_pois, ds.n_users)),
-                                   s_u_mode="static", s_l_mode="static")
+                                   s_u_mode="static")
         assert wired["mrr"] == pytest.approx(alone["mrr"], abs=1e-12)
         for k in (1, 5, 10):
             assert wired["acc"][k] == pytest.approx(alone["acc"][k], abs=1e-12)
@@ -362,7 +361,7 @@ class TestReports:
         for _ in range(2):
             reports = run_battery(small_dataset, variants=("full", "user_net_only"),
                                   seeds=(7,), settings=settings,
-                                  s_u_mode="static", s_l_mode="static")
+                                  s_u_mode="static")
             outputs.append({v: r.to_json() for v, r in reports.items()})
         assert outputs[0] == outputs[1]
 

@@ -7,6 +7,7 @@ import pytest
 
 from nextloc import autodiff as ad
 from nextloc.data import SECONDS_PER_DAY, CheckIn, build_dataset
+from nextloc.poi_net import PoiNet
 from nextloc.user_net import CUT_BLOCK, UserNet, decay_weight, haversine_km
 
 
@@ -217,9 +218,12 @@ class TestTraining:
 
     def test_batched_and_seeded_shuffling(self):
         ds = make_dataset(cycle_records(n_events=50), window=6)
-        net = UserNet(ds.n_users, ds.n_pois, dim=4, seed=1)
-        log = net.train(ds, epochs=3, seed=1, lr=0.01, batch_size=2)
-        assert len(log) == 3 and all(np.isfinite(v) for v in log)
+        for make in (lambda: UserNet(ds.n_users, ds.n_pois, dim=4, seed=1),
+                     lambda: PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots,
+                                    dim=4, slot_dim=2, seed=1)):
+            log = make().train(ds, epochs=3, seed=1, lr=0.01, batch_size=2)
+            assert len(log) == 3 and all(np.isfinite(v) for v in log)
+            assert make().train(ds, epochs=3, seed=1, lr=0.01, batch_size=2) == log
 
 
 def test_save_load_round_trip(tmp_path):
@@ -238,7 +242,6 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_foreign_checkpoint(tmp_path):
-    from nextloc.poi_net import PoiNet
     path = tmp_path / "poi.ckpt"
     PoiNet(n_users=2, n_pois=2, dim=3, slot_dim=2).save(path)
     with pytest.raises(ValueError, match="not a next-place"):
