@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 Small by design: the models trained here have ten-dimensional embeddings and
-a vanilla recurrent cell, so every operation works on tiny 2-D arrays and
-records a backward closure on an explicit tape.  Passing ``tape=None`` runs
-an op forward-only, which is what prediction paths use.
+a vanilla recurrent cell.  Each op records one backward closure on an explicit
+tape; passing ``tape=None`` runs it forward-only.  The generic ops work on
+tiny 2-D arrays.  Both networks train through one fused op,
+``recurrent_window_loss``, which computes a padded batch's whole loss in plain
+numpy and records a single closure with hand-written backpropagation through
+time, because per-op overhead, not arithmetic, set the cost of training.
 """
 
 from __future__ import annotations
@@ -233,6 +236,134 @@ def softmax_cross_entropy(logits: Tensor, targets, tape: Tape | None = None) -> 
                 logits.grad += g * (float(out.grad) / n_rows)
 
         tape.record(backward)
+    return out
+
+
+def _scatter_rows(grad: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``grad[ids[i]] += rows[i]`` for every i, repeated ids adding up, as
+    ``np.add.at`` does, but in one ``bincount`` over the flattened cells."""
+    n, width = grad.shape
+    cells = (ids[:, None] * width + np.arange(width)).ravel()
+    grad += np.bincount(cells, weights=rows.ravel(), minlength=n * width).reshape(n, width)
+
+
+def _recurrent_features(inputs, cell, context, mask, recall):
+    """Forward of ``recurrent_window_loss`` up to the output layer.
+
+    Returns the step inputs (B, K, Din), the states (B, K, D) and the output
+    features of the valid rows (N, D + Dc), in (window, step) order.
+    """
+    for table, ids in [*inputs, context]:
+        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+            raise ValueError(f"embedding index out of range for table with {table.shape[0]} rows")
+    w_hidden, w_input, b_hidden = cell
+    x = np.concatenate([table.values[ids] for table, ids in inputs], axis=-1)
+    n_windows, n_steps, _ = x.shape
+    dim = w_hidden.shape[0]
+    x_in = (x.reshape(-1, x.shape[2]) @ w_input.values).reshape(n_windows, n_steps, dim)
+    states = np.empty((n_windows, n_steps, dim))
+    h = np.zeros((n_windows, dim))
+    for k in range(n_steps):
+        h = np.tanh(h @ w_hidden.values + x_in[:, k] + b_hidden.values)
+        states[:, k] = h
+    agg = states if recall is None else recall @ states
+    table, ids = context
+    ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
+    return x, states, np.concatenate([agg[mask], ctx], axis=1)
+
+
+def recurrent_window_logits(inputs, cell, context, head, mask, recall=None) -> np.ndarray:
+    """Forward-only logits of ``recurrent_window_loss``'s valid rows: (N, C)."""
+    _, _, features = _recurrent_features(inputs, cell, context, mask, recall)
+    w_out, b_out = head
+    return features @ w_out.values + b_out.values
+
+
+def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
+                          cell: tuple[Tensor, Tensor, Tensor],
+                          context: tuple[Tensor, np.ndarray],
+                          head: tuple[Tensor, Tensor],
+                          targets, mask, recall=None, tape: Tape | None = None) -> Tensor:
+    """Mean next-step cross-entropy of a padded batch of windows, as one op.
+
+    Step k of window b reads the rows ``table[ids[b, k]]`` of each
+    ``(table, ids)`` in ``inputs``, concatenated, into the tanh cell
+    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``.  The
+    states are aggregated as ``recall @ H`` with a fixed (B, K, K) recall, or
+    taken as they are when ``recall`` is None, then joined with the window's
+    ``context`` row and mapped by ``head`` (``w_out``, ``b_out``) to logits.
+    The loss is the mean cross-entropy against ``targets`` (B, K) over the
+    rows where ``mask`` (B, K) is true; each window's valid steps are a prefix,
+    so padding after them reaches no valid row.  One tape node, whose backward
+    is backpropagation through time.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    x, states, features = _recurrent_features(inputs, cell, context, mask, recall)
+    w_hidden, w_input, b_hidden = cell
+    w_out, b_out = head
+    y = np.asarray(targets, dtype=np.intp)[mask]
+    n_rows, dim = y.size, states.shape[2]
+    if y.size and (y.min() < 0 or y.max() >= w_out.shape[1]):
+        raise ValueError(f"target index out of range for {w_out.shape[1]} classes")
+    rows = np.arange(n_rows)
+    # Cross-entropy in place, candidate-major: the (C, N) logits array becomes
+    # the softmax, which the backward turns into the logits' gradient, so one
+    # such array lives on.  Reducing over axis 0 runs across all rows at once.
+    probs = w_out.values.T @ features.T
+    probs += b_out.values.reshape(-1, 1)
+    probs -= probs.max(axis=0)
+    picked = probs[y, rows]
+    np.exp(probs, out=probs)
+    z = probs.sum(axis=0)
+    loss_value = float(np.mean(np.log(z) - picked))
+    if not math.isfinite(loss_value):
+        raise NumericsError("non-finite value in recurrent_window_loss")
+    tables = [t for t, _ in inputs] + [context[0]]
+    out = _make_output(np.float64(loss_value), tables + [*cell, *head])
+    if tape is None or not out.requires_grad:
+        return out
+    probs /= z
+
+    def backward():
+        g = probs
+        g[y, rows] -= 1.0
+        g *= float(out.grad) / n_rows
+        if w_out.requires_grad:
+            w_out.grad += (g @ features).T
+        if b_out.requires_grad:
+            b_out.grad += g.sum(axis=1).reshape(b_out.shape)
+        d_full = np.zeros(mask.shape + (features.shape[1],))
+        d_full[mask] = (w_out.values @ g).T
+        table, ids = context
+        if table.requires_grad:
+            _scatter_rows(table.grad, ids, d_full[:, :, dim:].sum(axis=1))
+        d_states = d_full[:, :, :dim]
+        if recall is not None:
+            d_states = recall.transpose(0, 2, 1) @ d_states
+        # Backpropagation through time; padded steps receive exact zeros.
+        d_pre = np.empty_like(states)
+        carry = np.zeros_like(states[:, 0])
+        for k in reversed(range(states.shape[1])):
+            h = states[:, k]
+            d_pre[:, k] = (d_states[:, k] + carry) * (1.0 - h * h)
+            carry = d_pre[:, k] @ w_hidden.values.T
+        flat = d_pre.reshape(-1, dim)
+        if w_hidden.requires_grad:
+            prev = np.concatenate([np.zeros_like(states[:, :1]), states[:, :-1]], axis=1)
+            w_hidden.grad += prev.reshape(-1, dim).T @ flat
+        if w_input.requires_grad:
+            w_input.grad += x.reshape(-1, x.shape[2]).T @ flat
+        if b_hidden.requires_grad:
+            b_hidden.grad += _unbroadcast(flat, b_hidden.shape)
+        d_x = d_pre[mask] @ w_input.values.T
+        offset = 0
+        for table, ids in inputs:
+            width = table.shape[1]
+            if table.requires_grad:
+                _scatter_rows(table.grad, ids[mask], d_x[:, offset:offset + width])
+            offset += width
+
+    tape.record(backward)
     return out
 
 

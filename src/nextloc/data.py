@@ -76,6 +76,14 @@ def day_index(t: int) -> int:
     return int(t // SECONDS_PER_DAY)
 
 
+def _text_lines(fh, path):
+    """The lines of a text file; bytes that are not UTF-8 raise DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 @dataclasses.dataclass
 class ParseResult:
     records: list[CheckIn]
@@ -108,7 +116,7 @@ def parse_checkin_file(path, fmt: str = "gowalla",
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for line in _text_lines(fh, path):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -692,34 +700,78 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def _read_id_map(path) -> list[str]:
+    """Raw ids of a users.tsv/pois.tsv file, one "<dense>\t<raw>" line each."""
     out: list[str] = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            dense, raw = line.rstrip("\n").split("\t")
-            if int(dense) != len(out):
-                raise DataError(f"{path}: id map not densely ordered")
-            out.append(raw)
+        for n, line in enumerate(_text_lines(f, path), start=1):
+            fields = line.rstrip("\n").split("\t")
+            try:
+                dense_ok = len(fields) == 2 and int(fields[0]) == len(out)
+            except ValueError:
+                dense_ok = False
+            if not dense_ok:
+                raise DataError(f"{path}:{n}: expected '{len(out)}<TAB>raw id' "
+                                f"(ids densely ordered), got {line[:60]!r}")
+            out.append(fields[1])
     return out
 
 
+def _manifest_settings(manifest, path) -> tuple[str, float, int, int]:
+    """Format, split ratio, window and slot count of a dataset manifest."""
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    missing = sorted({"split_ratio", "window", "slots"} - set(manifest))
+    if missing:
+        raise DataError(f"{path}: missing {', '.join(missing)}")
+    fmt, ratio = manifest.get("format", "gowalla"), manifest["split_ratio"]
+    window, slots = manifest["window"], manifest["slots"]
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    checks = [
+        (isinstance(fmt, str) and fmt in FORMATS, f"format must be one of {sorted(FORMATS)}"),
+        ((is_int(ratio) or isinstance(ratio, float)) and 0.0 < ratio <= 1.0,
+         "split_ratio must be a number in (0, 1]"),
+        (is_int(window) and window >= 2, "window must be an integer >= 2"),
+        (is_int(slots) and slots >= 1, "slots must be an integer >= 1"),
+    ]
+    for ok, msg in checks:
+        if not ok:
+            raise DataError(f"{path}: {msg}")
+    return fmt, ratio, window, slots
+
+
 def load_dataset(in_dir) -> Dataset:
+    """Read ``save_dataset``'s directory; any malformed part raises DataError."""
     manifest_path = os.path.join(in_dir, MANIFEST_NAME)
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
     except OSError as exc:
         raise DataError(f"not a dataset directory (missing {MANIFEST_NAME}): {in_dir}") from exc
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    fmt, split_ratio, window, slots = _manifest_settings(manifest, manifest_path)
     user_raw = _read_id_map(os.path.join(in_dir, "users.tsv"))
     poi_raw = _read_id_map(os.path.join(in_dir, "pois.tsv"))
+    events_path = os.path.join(in_dir, "events.tsv")
     parsed = parse_checkin_file(
-        os.path.join(in_dir, "events.tsv"), manifest.get("format", "gowalla"),
+        events_path, fmt,
         user_ids={raw: i for i, raw in enumerate(user_raw)},
         poi_ids={raw: i for i, raw in enumerate(poi_raw)},
     )
+    for name, ids, raw in (("users.tsv", parsed.user_ids, user_raw),
+                           ("pois.tsv", parsed.poi_ids, poi_raw)):
+        if len(ids) > len(raw):
+            raise DataError(f"{events_path}: id {list(ids)[len(raw)]!r} is not in {name}")
     meta = {}
     meta_path = os.path.join(in_dir, "meta.json")
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-    return build_dataset(parsed.records, manifest["split_ratio"], manifest["window"],
-                         manifest["slots"], user_raw=user_raw, poi_raw=poi_raw, meta=meta)
+        try:
+            with open(meta_path, "r", encoding="utf-8") as f:
+                meta = json.load(f)
+        except ValueError as exc:
+            raise DataError(f"{meta_path}: not valid JSON: {exc}") from exc
+    return build_dataset(parsed.records, split_ratio, window, slots,
+                         user_raw=user_raw, poi_raw=poi_raw, meta=meta)

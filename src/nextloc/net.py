@@ -1,10 +1,14 @@
 """What the two window networks share: one trainer, one window loss, one loader.
 
 ``UserNet`` (next place for a user) and ``PoiNet`` (next visitor for a place)
-keep only their recurrent cell, their parameters and their prediction methods.
+keep only their packing (which tables feed a step, which context row, which
+recall), their parameters and their prediction methods.  Both train through
+one fused op, ``autodiff.recurrent_window_loss``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -12,15 +16,48 @@ from . import autodiff as ad
 from .data import DataError, Dataset
 
 
+@dataclasses.dataclass(frozen=True)
+class WindowBatch:
+    """Windows of mixed lengths padded to K steps (the longest window's).
+
+    Step k of window b reads its inputs at ``steps[i][b, k]`` and predicts
+    ``targets[b, k]``; ``mask[b, k]`` marks the real steps, a prefix of each row.
+    """
+    steps: tuple[np.ndarray, ...]    # (B, K) ids, one array per step table
+    context: np.ndarray              # (B,) id of each window's context row
+    targets: np.ndarray              # (B, K)
+    mask: np.ndarray                 # (B, K) bool
+    recall: np.ndarray | None        # (B, K, K) fixed recall weights, or None
+
+    @property
+    def rows(self) -> int:
+        return int(self.mask.sum())
+
+    def take(self, index) -> "WindowBatch":
+        """The windows at ``index``, padded only to the longest of them."""
+        mask = self.mask[index]
+        k = int(mask.sum(axis=1).max())
+        return WindowBatch(
+            steps=tuple(s[index, :k] for s in self.steps), context=self.context[index],
+            targets=self.targets[index, :k], mask=mask[:, :k],
+            recall=None if self.recall is None else self.recall[index, :k, :k])
+
+
 class WindowNet:
     """Subclasses set ``target_field`` (the event field each step predicts),
-    ``window_pool`` (the Dataset attribute of their default training windows)
-    and ``description`` (their name in errors), and define ``named_parameters``,
-    ``_forward_batch`` (step-major logits for same-length windows, (K*B,
-    n_candidates)) and the classmethod ``_from_checkpoint`` (a freshly
-    initialised network sized by a checkpoint's arrays)."""
+    ``step_inputs`` ((event field, parameter name) of each table whose rows
+    make up a step's input), ``context_input`` (the same for the row joined to
+    every step's state, read from a window's first event), ``window_pool``
+    (the Dataset attribute of their default training windows) and
+    ``description`` (their name in errors).  They define ``named_parameters``
+    (``w_hidden``, ``w_input``, ``b_hidden``, ``w_out`` and ``b_out`` among
+    them), the classmethod ``_from_checkpoint`` (a freshly initialised
+    network sized by a checkpoint's arrays) and, to aggregate past states,
+    ``_recall``."""
 
     target_field: str
+    step_inputs: tuple[tuple[str, str], ...]
+    context_input: tuple[str, str]
     window_pool: str
     description: str
 
@@ -64,19 +101,55 @@ class WindowNet:
 
     # -- forward -------------------------------------------------------------
 
-    def forward_window(self, window: list, tape: ad.Tape | None = None) -> ad.Tensor:
-        """Logits for each predicted step of one window: (len-1, n_candidates)."""
-        if len(window) < 2:
+    def pack(self, windows: list[list]) -> WindowBatch:
+        """Pad windows of any lengths into one batch of index arrays."""
+        lengths = np.array([len(w) for w in windows])
+        if lengths.size == 0 or lengths.min() < 2:
             raise ValueError("window must contain an input step and a target")
-        return self._forward_batch([window], tape)
+        events = np.array([e for w in windows for e in w], dtype=np.float64)
+        filled = np.arange(lengths.max()) < lengths[:, None]
+        fields = type(windows[0][0])._fields
 
-    def window_loss(self, windows: list[list], tape: ad.Tape | None = None) -> ad.Tensor:
-        """Mean cross-entropy of each step's next target over same-length windows."""
-        logits = self._forward_batch(windows, tape)
-        field = self.target_field
-        targets = np.array([getattr(w[k + 1], field)
-                            for k in range(len(windows[0]) - 1) for w in windows])
-        return ad.softmax_cross_entropy(logits, targets, tape)
+        def column(field, dtype=np.intp):
+            out = np.zeros(filled.shape, dtype=dtype)
+            out[filled] = events[:, fields.index(field)]
+            return out
+
+        return WindowBatch(
+            steps=tuple(column(field)[:, :-1] for field, _ in self.step_inputs),
+            context=column(self.context_input[0])[:, 0],
+            targets=column(self.target_field)[:, 1:],
+            mask=filled[:, 1:],
+            recall=self._recall(lambda field: column(field, np.float64)[:, :-1]))
+
+    def _recall(self, column) -> np.ndarray | None:
+        """The fixed (B, K, K) recall over a batch's states; None aggregates none.
+        ``column(field)`` gives the field of each input step, zero-padded."""
+        return None
+
+    def _op_inputs(self, batch: WindowBatch) -> dict:
+        params = self.named_parameters()
+        return {
+            "inputs": [(params[name], ids)
+                       for (_, name), ids in zip(self.step_inputs, batch.steps)],
+            "cell": (self.w_hidden, self.w_input, self.b_hidden),
+            "context": (params[self.context_input[1]], batch.context),
+            "head": (self.w_out, self.b_out),
+            "mask": batch.mask,
+            "recall": batch.recall,
+        }
+
+    def forward_window(self, window: list) -> ad.Tensor:
+        """Logits for each predicted step of one window: (len-1, n_candidates)."""
+        return ad.Tensor(ad.recurrent_window_logits(**self._op_inputs(self.pack([window]))))
+
+    def window_loss(self, windows: list[list] | WindowBatch,
+                    tape: ad.Tape | None = None) -> ad.Tensor:
+        """Mean cross-entropy of each step's next target over windows of any
+        lengths (a list, or a batch from ``pack``): one tape node."""
+        batch = windows if isinstance(windows, WindowBatch) else self.pack(windows)
+        return ad.recurrent_window_loss(targets=batch.targets, tape=tape,
+                                        **self._op_inputs(batch))
 
     # -- training ------------------------------------------------------------
 
@@ -85,45 +158,33 @@ class WindowNet:
               windows: list[list] | None = None) -> list[float]:
         """Fit on the training windows; returns the per-epoch loss log.
 
-        Default is one full-batch step per epoch (windows grouped by length).
-        With batch_size set, windows are reshuffled each epoch from the seed.
+        The pool is packed once.  Default is one full-batch step per epoch;
+        with batch_size set, windows are reshuffled each epoch from the seed.
+        Each step's loss is the mean over its chunk's predicted rows.
         """
         pool = list(getattr(dataset, self.window_pool) if windows is None else windows)
         if not pool:
             raise ValueError("no training windows")
+        packed = self.pack(pool)
         opt = ad.make_optimizer(optimizer, self.parameters(), lr)
         rng = np.random.default_rng(seed)
         log: list[float] = []
         for _ in range(epochs):
             if batch_size is None:
-                chunks = [pool]
+                chunks = [packed]
             else:
                 order = rng.permutation(len(pool))
-                chunks = [[pool[i] for i in order[s:s + batch_size]]
-                          for s in range(0, len(pool), batch_size)]
+                chunks = (packed.take(order[s:s + batch_size])
+                          for s in range(0, len(pool), batch_size))
             epoch_loss = 0.0
             epoch_rows = 0
             for chunk in chunks:
                 tape = ad.Tape()
-                loss = self._chunk_loss(chunk, tape)
+                loss = self.window_loss(chunk, tape)
                 tape.backward(loss)
                 opt.step()
-                rows = sum(len(w) - 1 for w in chunk)
+                rows = chunk.rows
                 epoch_loss += float(loss.values) * rows
                 epoch_rows += rows
             log.append(epoch_loss / epoch_rows)
         return log
-
-    def _chunk_loss(self, chunk: list[list], tape: ad.Tape | None) -> ad.Tensor:
-        """Mean loss per predicted step: each length group weighted by its rows."""
-        groups: dict[int, list[list]] = {}
-        for w in chunk:
-            groups.setdefault(len(w), []).append(w)
-        total_rows = sum(len(w) - 1 for w in chunk)
-        loss = None
-        for length in sorted(groups):
-            batch = groups[length]
-            part = ad.scale(self.window_loss(batch, tape),
-                            (length - 1) * len(batch) / total_rows, tape)
-            loss = part if loss is None else ad.add(loss, part, tape)
-        return loss

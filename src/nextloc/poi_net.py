@@ -17,6 +17,9 @@ from .net import WindowNet
 
 class PoiNet(WindowNet):
     target_field = "user"
+    step_inputs = (("user", "user_embeddings"), ("slot", "slot_embeddings"),
+                   ("weekday", "weekday_embeddings"))
+    context_input = ("poi", "poi_embeddings")
     window_pool = "poi_windows"
     description = "next-visitor network"
 
@@ -61,36 +64,6 @@ class PoiNet(WindowNet):
         n_slots, slot_dim = arrays["slot_embeddings"].shape
         return cls(n_users, arrays["poi_embeddings"].shape[0], n_slots=n_slots,
                    dim=dim, slot_dim=slot_dim)
-
-    # -- forward -------------------------------------------------------------
-
-    def _step_input(self, events_col: list[VisitEvent], tape) -> ad.Tensor:
-        users = np.array([e.user for e in events_col])
-        slots = np.array([e.slot for e in events_col])
-        days = np.array([e.weekday for e in events_col])
-        return ad.concat([
-            ad.embedding_lookup(self.user_embeddings, users, tape),
-            ad.embedding_lookup(self.slot_embeddings, slots, tape),
-            ad.embedding_lookup(self.weekday_embeddings, days, tape),
-        ], axis=1, tape=tape)
-
-    def _forward_batch(self, windows: list[list[VisitEvent]], tape: ad.Tape | None) -> ad.Tensor:
-        """Stacked next-visitor logits for same-length windows: (K*B, n_users)."""
-        bsz = len(windows)
-        k_steps = len(windows[0]) - 1
-        poi_vecs = ad.embedding_lookup(self.poi_embeddings,
-                                       np.array([w[0].poi for w in windows]), tape)
-        h = ad.Tensor(np.zeros((bsz, self.dim)))
-        step_logits: list[ad.Tensor] = []
-        for k in range(k_steps):
-            x = self._step_input([w[k] for w in windows], tape)
-            pre = ad.add(ad.add(ad.matmul(h, self.w_hidden, tape),
-                                ad.matmul(x, self.w_input, tape), tape),
-                         self.b_hidden, tape)
-            h = ad.tanh(pre, tape)
-            combined = ad.concat([h, poi_vecs], axis=1, tape=tape)
-            step_logits.append(ad.add(ad.matmul(combined, self.w_out, tape), self.b_out, tape))
-        return ad.concat(step_logits, axis=0, tape=tape) if len(step_logits) > 1 else step_logits[0]
 
     # -- prediction ----------------------------------------------------------
 

@@ -17,7 +17,9 @@ from .net import WindowNet
 
 EARTH_RADIUS_KM = 6371.0
 
-#: Cuts scored together by ``UserNet.score_rows_at_cuts``.
+#: Cuts scored together by ``UserNet.score_rows_at_cuts``, and windows whose
+#: recall weights ``UserNet._recall`` computes together: the block bounds the
+#: size of their temporaries.
 CUT_BLOCK = 128
 
 
@@ -54,6 +56,8 @@ class UserNet(WindowNet):
     """Scores the next place for each user from their check-in trajectory."""
 
     target_field = "poi"
+    step_inputs = (("poi", "poi_embeddings"),)
+    context_input = ("user", "user_embeddings")
     window_pool = "user_windows"
     description = "next-place network"
 
@@ -119,36 +123,13 @@ class UserNet(WindowNet):
         w = decay_weight(np.maximum(dt, 0.0), dd, self.alpha, self.beta) * mask
         return w / w.sum(axis=-1, keepdims=True)
 
-    # -- forward -------------------------------------------------------------
-
-    def _forward_batch(self, windows: list[list[CheckIn]], tape: ad.Tape | None) -> ad.Tensor:
-        """Stacked logits for same-length windows: (K*B, n_pois), step-major."""
-        bsz = len(windows)
-        k_steps = len(windows[0]) - 1
-        inputs = np.array([[e.poi for e in w[:-1]] for w in windows])      # (B, K)
-        users = np.array([w[0].user for w in windows])
-        ts = np.array([[e.t for e in w[:-1]] for w in windows], dtype=np.float64)
-        lat = np.array([[e.lat for e in w[:-1]] for w in windows])
-        lon = np.array([[e.lon for e in w[:-1]] for w in windows])
-        recall = self._recall_matrix(ts / SECONDS_PER_DAY, lat, lon)       # (B, K, K)
-
-        user_vecs = ad.embedding_lookup(self.user_embeddings, users, tape)
-        h = ad.Tensor(np.zeros((bsz, self.dim)))
-        states: list[ad.Tensor] = []
-        step_logits: list[ad.Tensor] = []
-        for k in range(k_steps):
-            x = ad.embedding_lookup(self.poi_embeddings, inputs[:, k], tape)
-            pre = ad.add(ad.add(ad.matmul(h, self.w_hidden, tape),
-                                ad.matmul(x, self.w_input, tape), tape),
-                         self.b_hidden, tape)
-            h = ad.tanh(pre, tape)
-            states.append(h)
-            agg = ad.scale(states[0], recall[:, k, 0][:, None], tape)
-            for j in range(1, k + 1):
-                agg = ad.add(agg, ad.scale(states[j], recall[:, k, j][:, None], tape), tape)
-            combined = ad.concat([agg, user_vecs], axis=1, tape=tape)
-            step_logits.append(ad.add(ad.matmul(combined, self.w_out, tape), self.b_out, tape))
-        return ad.concat(step_logits, axis=0, tape=tape) if len(step_logits) > 1 else step_logits[0]
+    def _recall(self, column) -> np.ndarray:
+        # Padded steps get zero times and coordinates: finite weights that
+        # reach only padded rows, which the loss masks out.
+        ts, lat, lon = column("t") / SECONDS_PER_DAY, column("lat"), column("lon")
+        return np.concatenate([self._recall_matrix(ts[s:s + CUT_BLOCK], lat[s:s + CUT_BLOCK],
+                                                   lon[s:s + CUT_BLOCK])
+                               for s in range(0, len(ts), CUT_BLOCK)])
 
     # -- prediction ----------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -132,9 +133,64 @@ class TestIngest:
         assert code == cli.EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
+    def test_undecodable_bytes_are_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        self.write_raw(raw)
+        with open(raw, "ab") as f:
+            f.write(b"\xff\n")
+        assert cli.main(["ingest", "--input", str(raw), "--min-records", "10",
+                         "--out", str(tmp_path / "ds")]) == cli.EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         assert cli.main(["ingest", "--input", str(tmp_path / "nope.txt"),
                          "--out", str(tmp_path / "ds")]) == cli.EXIT_DATA
+
+
+def _rewrite_manifest(directory, **changes):
+    """Set manifest keys; a value of None removes the key."""
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    path.write_text(json.dumps(manifest))
+
+
+def _add_events(directory, field, raw_id):
+    """Append copies of the first three events with one raw id replaced:
+    enough train events for a user of their own."""
+    path = directory / "events.tsv"
+    with open(path, "a", encoding="utf-8") as f:
+        for text in path.read_text().splitlines()[:3]:
+            fields = text.split("\t")
+            fields[{"user": 0, "poi": 4}[field]] = raw_id
+            f.write("\t".join(fields) + "\n")
+
+
+BROKEN_DATASETS = {
+    "invalid_manifest": lambda d: (d / "manifest.json").write_text("{not json"),
+    "no_split_ratio": lambda d: _rewrite_manifest(d, split_ratio=None),
+    "window_not_a_number": lambda d: _rewrite_manifest(d, window="x"),
+    "window_zero": lambda d: _rewrite_manifest(d, window=0),
+    "id_map_line_without_tab": lambda d: (d / "users.tsv").write_text(
+        (d / "users.tsv").read_text().replace("\t", " ", 1)),
+    "event_of_unknown_user": lambda d: _add_events(d, "user", "ghost"),
+    "event_at_unknown_place": lambda d: _add_events(d, "poi", "nowhere"),
+}
+
+
+class TestBrokenDatasetDirectory:
+    @pytest.mark.parametrize("case", sorted(BROKEN_DATASETS))
+    def test_is_data_error(self, data_dir, tmp_path, capsys, case):
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        BROKEN_DATASETS[case](broken)
+        assert cli.main(["stats", "--data", str(broken),
+                         "--out", str(tmp_path / "stats")]) == cli.EXIT_DATA
+        assert "error:" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -160,6 +216,13 @@ class TestTrain:
                          "--epochs", "-3", "--out", str(out)]) == cli.EXIT_USAGE
         assert "epochs" in capsys.readouterr().err
         assert not (out / "user_net.ckpt").exists()
+
+    @pytest.mark.parametrize("net", ["user", "poi"])
+    def test_diverging_training_is_numeric_error(self, data_dir, tmp_path, capsys, net):
+        assert cli.main(["train", "--data", str(data_dir), "--net", net, "--epochs", "3",
+                         "--lr", "1e300", "--dim", "4",
+                         "--out", str(tmp_path / "m")]) == cli.EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
 
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
         out = tmp_path / "init"

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextloc import data
 from nextloc.data import (CheckIn, DataError, SyntheticSpec, build_dataset,
@@ -118,6 +120,45 @@ def test_parse_unknown_format(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         parse_checkin_file(tmp_path / "absent.tsv")
+
+
+def test_parse_undecodable_bytes_is_data_error(tmp_path):
+    path = tmp_path / "raw.tsv"
+    path.write_bytes(line("a", "2010-01-01T08:00:00Z", "1", "1", "p").encode() + b"\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        parse_checkin_file(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "raw.tsv"
+
+
+FIELD = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["2010-01-01T08:00:00Z", "1969-12-31T23:59:59Z", "9999-12-31T23:59:59+01:00",
+                     "2010-02-30T00:00:00Z", "0", "-0.0", "90", "180", "-180", "1e999",
+                     "nan", "inf", "u1", "p1", ""]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=40),
+                          st.lists(FIELD, min_size=4, max_size=6).map("\t".join),
+                          st.tuples(FIELD, st.just("2010-01-01T08:00:00Z"),
+                                    st.floats(-90, 90).map(repr), st.floats(-179, 180).map(repr),
+                                    FIELD).map("\t".join)),
+                max_size=8))
+def test_parse_fuzz_parses_or_raises_data_error(fuzz_path, lines):
+    """Arbitrary text lines either parse into valid records or raise DataError."""
+    fuzz_path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        result = parse_checkin_file(fuzz_path)
+    except DataError:
+        return
+    assert result.records and result.malformed * 100 <= result.total_lines
+    for r in result.records:
+        assert r.t > 0 and -90.0 <= r.lat <= 90.0 and -180.0 < r.lon <= 180.0
 
 
 # -- filtering ----------------------------------------------------------------
