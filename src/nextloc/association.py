@@ -11,9 +11,11 @@ cannot make (new-to-this-user places, cold places).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .data import Dataset, day_index
+from .data import DataError, Dataset, day_index
 
 
 def user_similarity(dataset: Dataset, same_day: bool = False,
@@ -124,10 +126,33 @@ def save_similarity(path, matrix: np.ndarray) -> None:
 
 
 def load_similarity(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        rows, cols = map(int, f.readline().split())
-        out = np.zeros((rows, cols))
-        for line in f:
-            i, j, value = line.split()
-            out[int(i), int(j)] = float(value)
+    """Read ``save_similarity``'s layout.  A header that is not two
+    non-negative ints, a line that is not ``row col value``, an index outside
+    the declared shape or a non-finite value raises DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            header, *body = f.read().splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
+    try:
+        shape = tuple(int(n) for n in header.split())
+    except ValueError:
+        shape = ()
+    if len(shape) != 2 or min(shape) < 0:
+        raise DataError(f"{path}:1: expected a 'rows cols' header of two non-negative ints, "
+                        f"got {header[:60]!r}")
+    out = np.zeros(shape)
+    for lineno, line in enumerate(body, 2):
+        fields = line.split()
+        try:
+            if len(fields) != 3:
+                raise ValueError
+            i, j, value = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected 'row col value', got {line[:60]!r}") from None
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+            raise DataError(f"{path}:{lineno}: index ({i}, {j}) outside the shape {shape}")
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {value!r}")
+        out[i, j] = value
     return out

@@ -2,11 +2,19 @@
 
 Small by design: the models trained here have ten-dimensional embeddings and
 a vanilla recurrent cell.  Each op records one backward closure on an explicit
-tape; passing ``tape=None`` runs it forward-only.  The generic ops work on
-tiny 2-D arrays.  Both networks train through one fused op,
-``recurrent_window_loss``, which computes a padded batch's whole loss in plain
-numpy and records a single closure with hand-written backpropagation through
-time, because per-op overhead, not arithmetic, set the cost of training.
+tape; passing ``tape=None`` runs it forward-only.
+
+Both networks train through one fused op, ``recurrent_window_loss``, which
+computes a padded batch's whole loss in plain numpy and records a single
+closure with hand-written backpropagation through time, because per-op
+overhead, not arithmetic, set the cost of training.  Its forward is made of
+the two pieces prediction runs as well: ``recurrent_states``, the one tanh
+recurrence, and ``output_softmax``, the one output layer.  The recall weights
+come from the network (``UserNet._recall``), also shared by both paths.
+
+The generic ops (``matmul`` ... ``softmax_cross_entropy``) work on tiny 2-D
+arrays; no network uses them any more.  They serve the tests and the
+benchmark's tracer, which looks them up by name.
 """
 
 from __future__ import annotations
@@ -247,15 +255,22 @@ def _scatter_rows(grad: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     grad += np.bincount(cells, weights=rows.ravel(), minlength=n * width).reshape(n, width)
 
 
-def _recurrent_features(inputs, cell, context, mask, recall):
-    """Forward of ``recurrent_window_loss`` up to the output layer.
+def _check_ids(table: Tensor, ids: np.ndarray) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ValueError(f"embedding index out of range for table with {table.shape[0]} rows")
 
-    Returns the step inputs (B, K, Din), the states (B, K, D) and the output
-    features of the valid rows (N, D + Dc), in (window, step) order.
+
+def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
+                     cell: tuple[Tensor, Tensor, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence of training and prediction: the tanh cell
+    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``, from h = 0.
+
+    Step k of window b reads the rows ``table[ids[b, k]]`` of each
+    ``(table, ids)`` in ``inputs``, concatenated.  Returns the step inputs
+    (B, K, Din) and the states (B, K, D).
     """
-    for table, ids in [*inputs, context]:
-        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-            raise ValueError(f"embedding index out of range for table with {table.shape[0]} rows")
+    for table, ids in inputs:
+        _check_ids(table, ids)
     w_hidden, w_input, b_hidden = cell
     x = np.concatenate([table.values[ids] for table, ids in inputs], axis=-1)
     n_windows, n_steps, _ = x.shape
@@ -266,19 +281,35 @@ def _recurrent_features(inputs, cell, context, mask, recall):
     for k in range(n_steps):
         h = np.tanh(h @ w_hidden.values + x_in[:, k] + b_hidden.values)
         states[:, k] = h
-    agg = states if recall is None else recall @ states
-    table, ids = context
-    ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
-    return x, states, np.concatenate([agg[mask], ctx], axis=1)
+    return x, states
 
 
-def recurrent_window_logits(inputs, cell, context, head, mask, recall=None) -> np.ndarray:
-    """Forward-only logits of ``recurrent_window_loss``'s valid rows: (N, C)."""
-    _, _, features = _recurrent_features(inputs, cell, context, mask, recall)
+def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor],
+                   targets: np.ndarray | None = None):
+    """The output layer of training and prediction.
+
+    Each aggregated state (N, D) is joined with its context row (N, Dc) and
+    mapped by ``head`` (``w_out``, ``b_out``) to logits over the candidates,
+    normalised by softmax.  The logits are candidate-major and turned into the
+    softmax in place, so one (C, N) array lives on; reducing over axis 0 runs
+    across all rows at once.  Returns the features (N, D + Dc), the softmax
+    (C, N) and, given ``targets`` (N,), each row's cross-entropy, taken from
+    the shifted logits rather than the log of the softmax.
+    """
     w_out, b_out = head
-    return features @ w_out.values + b_out.values
+    features = np.concatenate([agg, ctx], axis=1)
+    probs = w_out.values.T @ features.T
+    probs += b_out.values.reshape(-1, 1)
+    probs -= probs.max(axis=0)
+    if targets is not None:
+        picked = probs[targets, np.arange(targets.size)]
+    np.exp(probs, out=probs)
+    z = probs.sum(axis=0)
+    probs /= z
+    return features, probs, None if targets is None else np.log(z) - picked
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
                           cell: tuple[Tensor, Tensor, Tensor],
                           context: tuple[Tensor, np.ndarray],
@@ -286,47 +317,42 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
                           targets, mask, recall=None, tape: Tape | None = None) -> Tensor:
     """Mean next-step cross-entropy of a padded batch of windows, as one op.
 
-    Step k of window b reads the rows ``table[ids[b, k]]`` of each
-    ``(table, ids)`` in ``inputs``, concatenated, into the tanh cell
-    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``.  The
-    states are aggregated as ``recall @ H`` with a fixed (B, K, K) recall, or
-    taken as they are when ``recall`` is None, then joined with the window's
-    ``context`` row and mapped by ``head`` (``w_out``, ``b_out``) to logits.
-    The loss is the mean cross-entropy against ``targets`` (B, K) over the
-    rows where ``mask`` (B, K) is true; each window's valid steps are a prefix,
-    so padding after them reaches no valid row.  One tape node, whose backward
-    is backpropagation through time.
+    The windows run through ``recurrent_states``.  Their states are
+    aggregated as ``recall @ H`` with a fixed (B, K, K) recall, or taken as
+    they are when ``recall`` is None, then scored by ``output_softmax`` with
+    the window's ``context`` row.  The loss is the mean cross-entropy against
+    ``targets`` (B, K) over the rows where ``mask`` (B, K) is true; each
+    window's valid steps are a prefix, so padding after them reaches no valid
+    row.  One tape node, whose backward is backpropagation through time.
+    Overflow on the way only shows as a non-finite loss or gradient, which
+    raises NumericsError, so numpy's warnings about it are silenced.
     """
     mask = np.asarray(mask, dtype=bool)
-    x, states, features = _recurrent_features(inputs, cell, context, mask, recall)
     w_hidden, w_input, b_hidden = cell
     w_out, b_out = head
+    table, ids = context
+    _check_ids(table, ids)
     y = np.asarray(targets, dtype=np.intp)[mask]
-    n_rows, dim = y.size, states.shape[2]
+    n_rows = y.size
     if y.size and (y.min() < 0 or y.max() >= w_out.shape[1]):
         raise ValueError(f"target index out of range for {w_out.shape[1]} classes")
-    rows = np.arange(n_rows)
-    # Cross-entropy in place, candidate-major: the (C, N) logits array becomes
-    # the softmax, which the backward turns into the logits' gradient, so one
-    # such array lives on.  Reducing over axis 0 runs across all rows at once.
-    probs = w_out.values.T @ features.T
-    probs += b_out.values.reshape(-1, 1)
-    probs -= probs.max(axis=0)
-    picked = probs[y, rows]
-    np.exp(probs, out=probs)
-    z = probs.sum(axis=0)
-    loss_value = float(np.mean(np.log(z) - picked))
+    x, states = recurrent_states(inputs, cell)
+    agg = states if recall is None else recall @ states
+    ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
+    features, probs, nll = output_softmax(agg[mask], ctx, head, y)
+    loss_value = float(np.mean(nll))
     if not math.isfinite(loss_value):
         raise NumericsError("non-finite value in recurrent_window_loss")
     tables = [t for t, _ in inputs] + [context[0]]
     out = _make_output(np.float64(loss_value), tables + [*cell, *head])
     if tape is None or not out.requires_grad:
         return out
-    probs /= z
+    dim = states.shape[2]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def backward():
         g = probs
-        g[y, rows] -= 1.0
+        g[y, np.arange(n_rows)] -= 1.0
         g *= float(out.grad) / n_rows
         if w_out.requires_grad:
             w_out.grad += (g @ features).T
@@ -365,13 +391,6 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
 
     tape.record(backward)
     return out
-
-
-def softmax_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a plain array (prediction paths, no gradient)."""
-    shifted = values - values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def gradient_check(fn: Callable[[Tape | None], Tensor], params: Sequence[Tensor],

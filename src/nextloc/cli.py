@@ -36,11 +36,26 @@ def _out_dir(arg, default_name):
     return os.path.join(os.environ.get("NEXTLOC_OUT", "."), default_name)
 
 
-def _write_manifest(out_dir, command, config, seeds=()):
+#: The RunConfig keys each command reads, and so records in its run.json.
+DATA_KEYS = ("format", "min_records", "min_poi_records", "split_ratio", "window", "slots")
+TRAIN_KEYS = ("dim", "slot_dim", "alpha", "beta", "epochs", "lr", "optimizer", "batch_size")
+EVAL_KEYS = ("variant", "fusion", "top_ks", "s_u_mode")
+ABLATE_KEYS = ("fusion", "top_ks") + TRAIN_KEYS
+
+
+def _write_manifest(out_dir, command, config, seeds=(), keys=None):
+    """run.json: the command, its config and seeds.  ``keys`` narrows a
+    dataclass config to the keys the command reads, so a config file's other
+    keys leave the manifest unchanged."""
+    hashed = dataclasses.is_dataclass(config)
+    if hashed:
+        config = dataclasses.asdict(config)
+    if keys is not None:
+        config = {key: config[key] for key in keys}
     payload = {
         "command": command,
-        "config": dataclasses.asdict(config) if dataclasses.is_dataclass(config) else config,
-        "config_sha256": config_hash(config) if dataclasses.is_dataclass(config) else None,
+        "config": config,
+        "config_sha256": config_hash(config) if hashed else None,
         "seeds": list(seeds),
     }
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
@@ -78,7 +93,7 @@ def cmd_ingest(args) -> int:
                             user_raw=user_raw, poi_raw=poi_raw)
     out = _out_dir(args.out, "dataset")
     save_dataset(dataset, out)
-    _write_manifest(out, "ingest", cfg)
+    _write_manifest(out, "ingest", cfg, keys=DATA_KEYS)
     n_train = sum(len(t) for t in dataset.train)
     n_test = sum(len(t) for t in dataset.test)
     print(f"users={dataset.n_users} pois={dataset.n_pois} events={len(dataset.records)} "
@@ -127,7 +142,7 @@ def cmd_train(args) -> int:
     with open(os.path.join(out, f"{args.net}_loss.txt"), "w", encoding="utf-8") as f:
         for value in log:
             f.write(f"{value!r}\n")
-    _write_manifest(out, f"train:{args.net}", cfg, seeds=[args.seed])
+    _write_manifest(out, f"train:{args.net}", cfg, seeds=[args.seed], keys=TRAIN_KEYS)
     first = f"{log[0]:.6f}" if log else "n/a"
     last = f"{log[-1]:.6f}" if log else "n/a"
     print(f"trained {args.net} net: epochs={cfg.epochs} loss {first} -> {last}")
@@ -198,7 +213,7 @@ def cmd_evaluate(args) -> int:
         with open(os.path.join(out, f"report_{variant}.txt"), "w", encoding="utf-8") as f:
             f.write(report.text_table())
         print(report.text_table(), end="")
-    _write_manifest(out, "evaluate", cfg)
+    _write_manifest(out, "evaluate", cfg, keys=EVAL_KEYS)
     return 0
 
 
@@ -238,7 +253,7 @@ def cmd_ablate(args) -> int:
     summary = "\n".join(lines) + "\n"
     with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8") as f:
         f.write(summary)
-    _write_manifest(out, "ablate", cfg, seeds=seeds)
+    _write_manifest(out, "ablate", cfg, seeds=seeds, keys=ABLATE_KEYS)
     print(summary, end="")
     return 0
 

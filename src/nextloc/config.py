@@ -146,6 +146,8 @@ def load_run_config(file_path=None, overrides: dict | None = None) -> RunConfig:
 
 
 def config_hash(config) -> str:
-    """Stable content hash of a dataclass config, for run manifests."""
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True, default=list)
+    """Stable content hash of a config, a dataclass or a dict of its keys,
+    for run manifests."""
+    values = dataclasses.asdict(config) if dataclasses.is_dataclass(config) else config
+    payload = json.dumps(values, sort_keys=True, default=list)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

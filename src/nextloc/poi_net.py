@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, VisitEvent
 from .net import WindowNet
 
 
@@ -21,6 +20,7 @@ class PoiNet(WindowNet):
                    ("weekday", "weekday_embeddings"))
     context_input = ("poi", "poi_embeddings")
     window_pool = "poi_windows"
+    history = "poi_train"
     description = "next-visitor network"
 
     def __init__(self, n_users: int, n_pois: int, n_slots: int = 24, dim: int = 10,
@@ -64,45 +64,3 @@ class PoiNet(WindowNet):
         n_slots, slot_dim = arrays["slot_embeddings"].shape
         return cls(n_users, arrays["poi_embeddings"].shape[0], n_slots=n_slots,
                    dim=dim, slot_dim=slot_dim)
-
-    # -- prediction ----------------------------------------------------------
-
-    def score_rows_at_cuts(self, events: list[VisitEvent], poi: int,
-                           cuts: list[int]) -> np.ndarray:
-        """Next-visitor probability rows after a prefix of a place's history."""
-        rows = np.empty((len(cuts), self.n_users))
-        w_out, b_out = self.w_out.values, self.b_out.values[0]
-        p_vec = self.poi_embeddings.values[poi]
-        prev_cut, h = 0, np.zeros(self.dim)
-        for i in np.argsort(cuts, kind="stable"):
-            cut = cuts[i]
-            if cut != prev_cut:
-                h = self._continue_hidden(h, events[prev_cut:cut])
-                prev_cut = cut
-            if cut == 0:
-                rows[i] = 1.0 / self.n_users
-            else:
-                logits = np.concatenate([h, p_vec]) @ w_out + b_out
-                rows[i] = ad.softmax_rows(logits[None, :])[0]
-        return rows
-
-    def _continue_hidden(self, h: np.ndarray, events: list[VisitEvent]) -> np.ndarray:
-        w_h, w_x, b = self.w_hidden.values, self.w_input.values, self.b_hidden.values[0]
-        for e in events:
-            x = np.concatenate([self.user_embeddings.values[e.user],
-                                self.slot_embeddings.values[e.slot],
-                                self.weekday_embeddings.values[e.weekday]])
-            h = np.tanh(h @ w_h + x @ w_x + b)
-        return h
-
-    def predict_score_matrix(self, dataset: Dataset) -> np.ndarray:
-        """Row-stochastic next-visitor scores per place after its train history.
-
-        Cold places (no training visits) get uniform rows; the cross-place
-        adjustment later blends in rows of similar places for them.
-        """
-        s_l = np.empty((self.n_pois, self.n_users))
-        for p in range(self.n_pois):
-            events = dataset.poi_train[p]
-            s_l[p] = self.score_rows_at_cuts(events, p, [len(events)])[0]
-        return s_l

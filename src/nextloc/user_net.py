@@ -12,15 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import SECONDS_PER_DAY, CheckIn, Dataset
+from .data import SECONDS_PER_DAY
 from .net import WindowNet
 
 EARTH_RADIUS_KM = 6371.0
-
-#: Cuts scored together by ``UserNet.score_rows_at_cuts``, and windows whose
-#: recall weights ``UserNet._recall`` computes together: the block bounds the
-#: size of their temporaries.
-CUT_BLOCK = 128
 
 
 def _haversine_arrays(lat1, lon1, lat2, lon2):
@@ -59,7 +54,9 @@ class UserNet(WindowNet):
     step_inputs = (("poi", "poi_embeddings"),)
     context_input = ("user", "user_embeddings")
     window_pool = "user_windows"
+    history = "train"
     description = "next-place network"
+    recall_fields = ("t", "lat", "lon")
 
     def __init__(self, n_users: int, n_pois: int, dim: int = 10,
                  alpha: float = 0.1, beta: float = 100.0, seed: int = 0):
@@ -109,90 +106,22 @@ class UserNet(WindowNet):
 
     # -- decay machinery -----------------------------------------------------
 
-    def _recall_matrix(self, ts_days: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        """Normalized recall weights over past steps.
+    def _recall(self, last: np.ndarray, t: np.ndarray, lat: np.ndarray,
+                lon: np.ndarray) -> np.ndarray:
+        """Normalised recall weights over past steps, seen from steps ``last``.
 
-        Inputs are (..., K) arrays; output (..., K, K) is lower-triangular with
-        row t giving the weight of each step j <= t as seen from step t,
-        normalized to sum to 1.
+        ``t`` (seconds), ``lat`` and ``lon`` are (..., K) arrays of the steps;
+        row r of the (..., R, K) result weighs each step j <= last[r] as seen
+        from step last[r], sums to 1, and gives later steps 0.  Training asks
+        for every step of its windows (lower-triangular K x K), prediction for
+        the last step of each cut.
         """
-        dt = ts_days[..., :, None] - ts_days[..., None, :]
-        dd = _haversine_arrays(lat[..., :, None], lon[..., :, None],
+        ts = t / SECONDS_PER_DAY
+        dt = ts[..., last, None] - ts[..., None, :]
+        dd = _haversine_arrays(lat[..., last, None], lon[..., last, None],
                                lat[..., None, :], lon[..., None, :])
-        mask = np.tril(np.ones((ts_days.shape[-1], ts_days.shape[-1])))
-        w = decay_weight(np.maximum(dt, 0.0), dd, self.alpha, self.beta) * mask
+        # Later steps are masked out; clamping their negative time offsets
+        # keeps the decay finite before the mask applies.
+        w = (decay_weight(np.maximum(dt, 0.0), dd, self.alpha, self.beta)
+             * (np.arange(ts.shape[-1]) <= last[:, None]))
         return w / w.sum(axis=-1, keepdims=True)
-
-    def _recall(self, column) -> np.ndarray:
-        # Padded steps get zero times and coordinates: finite weights that
-        # reach only padded rows, which the loss masks out.
-        ts, lat, lon = column("t") / SECONDS_PER_DAY, column("lat"), column("lon")
-        return np.concatenate([self._recall_matrix(ts[s:s + CUT_BLOCK], lat[s:s + CUT_BLOCK],
-                                                   lon[s:s + CUT_BLOCK])
-                               for s in range(0, len(ts), CUT_BLOCK)])
-
-    # -- prediction ----------------------------------------------------------
-
-    def _hidden_states(self, events: list[CheckIn]) -> np.ndarray:
-        """Plain-array recurrence over a full event sequence: (len, dim)."""
-        h = np.zeros(self.dim)
-        out = np.empty((len(events), self.dim))
-        w_h, w_x, b = self.w_hidden.values, self.w_input.values, self.b_hidden.values[0]
-        emb = self.poi_embeddings.values
-        for k, e in enumerate(events):
-            h = np.tanh(h @ w_h + emb[e.poi] @ w_x + b)
-            out[k] = h
-        return out
-
-    def score_rows_at_cuts(self, events: list[CheckIn], user: int,
-                           cuts: list[int]) -> np.ndarray:
-        """Next-place probability rows after observing a prefix of events.
-
-        Cut c means "the first c events have happened"; the row predicts the
-        following one.  Cut 0 (no history) yields a uniform row.  The
-        recurrent pass runs once; each cut reweights its prefix of states from
-        the viewpoint of the prefix's last event.  Cuts are taken in ascending
-        blocks of ``CUT_BLOCK``: one masked, row-normalised weight matrix per
-        block, one product against the states and one output product, so
-        memory stays O(CUT_BLOCK x events).
-        """
-        cuts = np.asarray(cuts, dtype=np.int64)
-        if cuts.size and (cuts.min() < 0 or cuts.max() > len(events)):
-            raise ValueError(f"cuts must lie in [0, {len(events)}]")
-        rows = np.full((cuts.size, self.n_pois), 1.0 / self.n_pois)
-        order = np.argsort(cuts, kind="stable")
-        order = order[cuts[order] > 0]
-        if order.size == 0:
-            return rows
-        states = self._hidden_states(events)
-        ts = np.array([e.t for e in events], dtype=np.float64) / SECONDS_PER_DAY
-        lat = np.array([e.lat for e in events])
-        lon = np.array([e.lon for e in events])
-        u_vec = self.user_embeddings.values[user]
-        w_out, b_out = self.w_out.values, self.b_out.values[0]
-        for start in range(0, order.size, CUT_BLOCK):
-            idx = order[start:start + CUT_BLOCK]
-            block = cuts[idx]
-            width = int(block[-1])
-            last = block - 1
-            mask = np.arange(width) < block[:, None]
-            # Steps after a cut's last event are masked out; zeroing their
-            # time offsets keeps the decay finite before the mask applies.
-            dt = np.where(mask, ts[last, None] - ts[None, :width], 0.0)
-            dd = _haversine_arrays(lat[last, None], lon[last, None],
-                                   lat[None, :width], lon[None, :width])
-            w = np.where(mask, decay_weight(dt, dd, self.alpha, self.beta), 0.0)
-            agg = (w / w.sum(axis=1, keepdims=True)) @ states[:width]
-            combined = np.concatenate([agg, np.broadcast_to(u_vec, agg.shape)], axis=1)
-            rows[idx] = ad.softmax_rows(combined @ w_out + b_out)
-        return rows
-
-    def predict_score_matrix(self, dataset: Dataset, at: str = "train_end") -> np.ndarray:
-        """Row-stochastic next-place scores per user, at the end of training history."""
-        if at != "train_end":
-            raise ValueError("per-test-step rows come from score_rows_at_cuts")
-        s_u = np.empty((self.n_users, self.n_pois))
-        for u in range(self.n_users):
-            events = dataset.train[u]
-            s_u[u] = self.score_rows_at_cuts(events, u, [len(events)])[0]
-        return s_u

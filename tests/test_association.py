@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextloc.association import (adjust_poi_scores, adjust_user_scores,
                                  load_similarity, poi_similarity,
                                  save_similarity, truncate_top_k,
                                  user_similarity)
-from nextloc.data import CheckIn, SECONDS_PER_DAY, build_dataset, day_index
+from nextloc.data import CheckIn, DataError, SECONDS_PER_DAY, build_dataset, day_index
 
 
 def visits(user, plan):
@@ -204,6 +206,67 @@ class TestPersistence:
         loaded = load_similarity(path)
         assert loaded.shape == (2, 5)
         np.testing.assert_array_equal(loaded, mat)
+
+
+    @pytest.mark.parametrize("text, complaint", [
+        ("", "header"),
+        ("2\n", "header"),
+        ("2 2 2\n", "header"),
+        ("-1 2\n", "header"),
+        ("2 x\n", "header"),
+        ("2 2\n0 1\n", "row col value"),
+        ("2 2\n0 1 0.5 7\n", "row col value"),
+        ("2 2\n0 1 high\n", "row col value"),
+        ("2 2\n0.5 1 0.5\n", "row col value"),
+        ("2 2\n0 0 0.5\n\n1 1 0.5\n", "row col value"),
+        ("2 2\n-1 0 0.5\n", "outside the shape"),
+        ("2 2\n0 -1 0.5\n", "outside the shape"),
+        ("2 2\n2 0 0.5\n", "outside the shape"),
+        ("2 3\n0 3 0.5\n", "outside the shape"),
+        ("2 2\n0 0 nan\n", "non-finite"),
+        ("2 2\n0 0 inf\n", "non-finite"),
+        ("2 2\n0 0 1e999\n", "non-finite"),
+    ])
+    def test_malformed_file_is_data_error(self, tmp_path, text, complaint):
+        path = tmp_path / "corr.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=complaint):
+            load_similarity(path)
+
+    def test_bytes_that_are_not_utf8_are_data_error(self, tmp_path):
+        path = tmp_path / "corr.txt"
+        path.write_bytes(b"2 2\n0 0 \xff\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_similarity(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "corr.txt"
+
+
+SMALL = st.integers(-3, 6)
+LINE = st.one_of(
+    st.text(max_size=20),
+    st.tuples(SMALL, SMALL, st.floats(allow_nan=True, allow_infinity=True))
+    .map(lambda t: f"{t[0]} {t[1]} {t[2]!r}"),
+    st.lists(st.one_of(SMALL.map(str), st.text(max_size=4)), max_size=4).map(" ".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(SMALL, SMALL).map(lambda t: f"{t[0]} {t[1]}"),
+                 st.text(max_size=12).filter(lambda h: len(h.splitlines()) <= 1)),
+       st.lists(LINE, max_size=6))
+def test_load_fuzz_loads_finite_or_raises_data_error(fuzz_path, header, lines):
+    """Arbitrary text either loads as a finite array of the declared shape or
+    raises DataError."""
+    fuzz_path.write_text("\n".join([header, *lines]), encoding="utf-8")
+    try:
+        loaded = load_similarity(fuzz_path)
+    except DataError:
+        return
+    assert loaded.shape == tuple(int(n) for n in header.split())
+    assert np.all(np.isfinite(loaded))
 
 
 def test_planted_clones_look_most_alike(small_dataset):

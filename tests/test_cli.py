@@ -123,6 +123,7 @@ class TestIngest:
         assert ds.n_users == 3
         assert ds.n_pois == 5
         assert "users=3" in capsys.readouterr().out
+        assert set(json.loads((out / "run.json").read_text())["config"]) == set(cli.DATA_KEYS)
 
     def test_mostly_malformed_file_fails_with_data_exit(self, tmp_path, capsys):
         raw = tmp_path / "bad.txt"
@@ -210,6 +211,18 @@ class TestTrain:
         assert payload["command"] == "train:poi"
         assert len(payload["config_sha256"]) == 64
 
+    def test_manifest_ignores_keys_train_does_not_read(self, data_dir, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("s_u_mode = static\n")
+        common = ["train", "--data", str(data_dir), "--net", "user", "--epochs", "1",
+                  "--dim", "4"]
+        assert cli.main([*common, "--out", str(tmp_path / "plain")]) == 0
+        assert cli.main([*common, "--config", str(config),
+                         "--out", str(tmp_path / "configured")]) == 0
+        plain = (tmp_path / "plain" / "run.json").read_bytes()
+        assert plain == (tmp_path / "configured" / "run.json").read_bytes()
+        assert set(json.loads(plain)["config"]) == set(cli.TRAIN_KEYS)
+
     def test_negative_epochs_is_usage_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "neg"
         assert cli.main(["train", "--data", str(data_dir), "--net", "user",
@@ -269,6 +282,7 @@ class TestEvaluate:
         assert 0.0 < payload["mrr"] <= 1.0
         assert "Acc@1" in capsys.readouterr().out
         assert (out / "report_user_net_only.txt").exists()
+        assert set(json.loads((out / "run.json").read_text())["config"]) == set(cli.EVAL_KEYS)
 
     def test_all_variants_write_all_reports(self, data_dir, model_dir, tmp_path):
         out = tmp_path / "rep_all"
@@ -388,6 +402,7 @@ class TestAblate:
         assert len(summary) == len(cli.VARIANTS)
         payload = json.loads((out / "report_full.json").read_text())
         assert payload["seeds"] == [0]
+        assert set(json.loads((out / "run.json").read_text())["config"]) == set(cli.ABLATE_KEYS)
 
     def test_needs_a_source(self, tmp_path):
         assert cli.main(["ablate", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE

@@ -190,7 +190,7 @@ class TestEvaluateWiring:
         ds = small_dataset
         corr_u = association.user_similarity(ds)
         corr_l = association.poi_similarity(ds)
-        s_u = user_net.predict_score_matrix(ds, at="train_end")
+        s_u = user_net.predict_score_matrix(ds)
         s_l = poi_net.predict_score_matrix(ds)
         fused = fuse(association.adjust_user_scores(corr_u, s_u),
                      association.adjust_poi_scores(corr_l, s_l))

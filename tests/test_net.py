@@ -111,14 +111,17 @@ def test_mixed_chunk_equals_row_weighted_length_groups(small_dataset, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(NETS))
-def test_forward_window_matches_prediction_path(small_dataset, kind):
-    """The training forward and score_rows_at_cuts give the same rows."""
+def test_window_loss_is_cross_entropy_of_prediction_rows(small_dataset, kind):
+    """Training scores a window as prediction scores its prefixes: the loss is
+    the mean -log of score_rows_at_cuts' row at each step's target."""
     net = NETS[kind](small_dataset)
-    window = max(getattr(small_dataset, net.window_pool), key=len)
-    context = getattr(window[0], net.context_input[0])
-    rows = ad.softmax_rows(net.forward_window(window).values)
-    want = net.score_rows_at_cuts(window, context, list(range(1, len(window))))
-    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
+    pool = getattr(small_dataset, net.window_pool)
+    for window in (max(pool, key=len), pool[-1]):    # the last of another context
+        context = getattr(window[0], net.context_input[0])
+        rows = net.score_rows_at_cuts(window, context, range(1, len(window)))
+        targets = [getattr(e, net.target_field) for e in window[1:]]
+        want = -np.mean(np.log(rows[np.arange(len(targets)), targets]))
+        assert abs(float(net.window_loss([window]).values) - want) < 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(NETS))

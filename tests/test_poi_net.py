@@ -87,7 +87,7 @@ def test_zero_epochs_changes_nothing(rotation_dataset):
 def test_window_too_short():
     net = PoiNet(n_users=2, n_pois=1, dim=3, slot_dim=2)
     with pytest.raises(ValueError):
-        net.forward_window(build_dataset(rotation_records(n_events=10)).poi_train[0][:1])
+        net.window_loss([build_dataset(rotation_records(n_events=10)).poi_train[0][:1]])
 
 
 def test_unordered_cuts_resolve_correctly(rotation_dataset):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nextloc import autodiff as ad
 from nextloc.data import SECONDS_PER_DAY, CheckIn, build_dataset
+from nextloc.net import CUT_BLOCK
 from nextloc.poi_net import PoiNet
-from nextloc.user_net import CUT_BLOCK, UserNet, decay_weight, haversine_km
+from nextloc.user_net import UserNet, decay_weight, haversine_km
 
 
 def cycle_records(n_pois=3, n_events=40, user=0, start=1_000_000):
@@ -61,13 +61,18 @@ class TestHaversine:
         assert haversine_km(a, b) == haversine_km(b, a)
 
 
+def window_recall(net, ts_days, lat, lon):
+    """The recall seen from every step of (B, K) windows, times in days."""
+    return net._recall(np.arange(ts_days.shape[-1]), ts_days * SECONDS_PER_DAY, lat, lon)
+
+
 class TestRecallAggregation:
     def net(self):
         return UserNet(n_users=2, n_pois=4, dim=3, seed=1)
 
     def test_single_step_recall_is_identity(self):
-        m = self.net()._recall_matrix(np.array([[5.0]]), np.array([[40.0]]),
-                                      np.array([[-75.0]]))
+        m = window_recall(self.net(), np.array([[5.0]]), np.array([[40.0]]),
+                          np.array([[-75.0]]))
         assert m.shape == (1, 1, 1)
         assert m[0, 0, 0] == 1.0
 
@@ -76,7 +81,7 @@ class TestRecallAggregation:
         ts = np.array([[5.0, 5.0]])
         lat = np.array([[40.0, 40.0]])
         lon = np.array([[-75.0, -75.0]])
-        m = self.net()._recall_matrix(ts, lat, lon)
+        m = window_recall(self.net(), ts, lat, lon)
         np.testing.assert_allclose(m[0, 1], [0.5, 0.5])
 
     def test_rows_are_convex_weights(self):
@@ -84,7 +89,7 @@ class TestRecallAggregation:
         ts = np.sort(rng.uniform(0, 10, (1, 6)), axis=1)
         lat = 40.0 + rng.uniform(-0.1, 0.1, (1, 6))
         lon = -75.0 + rng.uniform(-0.1, 0.1, (1, 6))
-        m = self.net()._recall_matrix(ts, lat, lon)[0]
+        m = window_recall(self.net(), ts, lat, lon)[0]
         assert np.all(m >= 0.0)
         np.testing.assert_allclose(m.sum(axis=1), np.ones(6), atol=1e-12)
         assert np.allclose(m, np.tril(m))  # nothing from the future
@@ -95,7 +100,7 @@ class TestRecallAggregation:
         ts = np.array([[0.0, 1.0, 2.0]])
         lat = np.array([[40.0, 41.0, 42.0]])   # ~111 km apart
         lon = np.array([[-75.0, -75.0, -75.0]])
-        m = net._recall_matrix(ts, lat, lon)[0]
+        m = window_recall(net, ts, lat, lon)[0]
         np.testing.assert_allclose(m[2], [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -115,7 +120,7 @@ class TestForward:
     def test_window_too_short(self):
         net = UserNet(n_users=1, n_pois=3, dim=3, seed=0)
         with pytest.raises(ValueError):
-            net.forward_window(cycle_records(n_events=1))
+            net.window_loss([cycle_records(n_events=1)])
 
     def test_poi_relabeling_permutes_columns(self):
         """Permuting place labels (embeddings and output columns along) permutes
@@ -136,8 +141,15 @@ class TestForward:
 
 
 def per_cut_rows(net, events, user, cuts):
-    """One cut at a time: reweight the prefix's states from its last event."""
-    states = net._hidden_states(events)
+    """The cell run event by event, then one cut at a time: reweight the
+    prefix's states from its last event."""
+    w_h, w_x, b = net.w_hidden.values, net.w_input.values, net.b_hidden.values[0]
+    h = np.zeros(net.dim)
+    states = []
+    for e in events:
+        h = np.tanh(h @ w_h + net.poi_embeddings.values[e.poi] @ w_x + b)
+        states.append(h)
+    states = np.array(states)
     rows = []
     for cut in cuts:
         if cut == 0:
@@ -148,8 +160,10 @@ def per_cut_rows(net, events, user, cuts):
                                    haversine_km((last.lat, last.lon), (e.lat, e.lon)),
                                    net.alpha, net.beta) for e in events[:cut]])
         agg = (w / w.sum()) @ states[:cut]
-        logits = np.concatenate([agg, net.user_embeddings.values[user]]) @ net.w_out.values
-        rows.append(ad.softmax_rows((logits + net.b_out.values[0])[None, :])[0])
+        logits = (np.concatenate([agg, net.user_embeddings.values[user]]) @ net.w_out.values
+                  + net.b_out.values[0])
+        e = np.exp(logits - logits.max())
+        rows.append(e / e.sum())
     return np.array(rows)
 
 
