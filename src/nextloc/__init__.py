@@ -12,8 +12,9 @@ from .data import (CheckIn, DataError, Dataset, SyntheticSpec, VisitEvent,
                    build_dataset, discretize_time, filter_inactive_users,
                    generate_synthetic, load_dataset, parse_checkin_file,
                    save_dataset)
-from .evaluate import (EvalReport, FusionStrategy, acc_at_k, evaluate_with_nets,
-                       fuse, motivation_stats, mrr, rank_top_k, run_battery)
+from .evaluate import (EvalReport, FusionStrategy, acc_at_k, evaluate_variants,
+                       evaluate_with_nets, fuse, motivation_stats, mrr, rank_top_k,
+                       run_battery)
 from .poi_net import PoiNet
 from .user_net import UserNet, decay_weight, haversine_km
 
@@ -23,7 +24,8 @@ __all__ = [
     "CheckIn", "DataError", "Dataset", "EvalReport", "FusionStrategy",
     "NumericsError", "PoiNet", "SyntheticSpec", "Tape", "Tensor", "UserNet",
     "VisitEvent", "acc_at_k", "adjust_poi_scores", "adjust_user_scores",
-    "build_dataset", "decay_weight", "discretize_time", "evaluate_with_nets",
+    "build_dataset", "decay_weight", "discretize_time", "evaluate_variants",
+    "evaluate_with_nets",
     "filter_inactive_users", "fuse", "generate_synthetic", "gradient_check",
     "haversine_km", "load_dataset", "motivation_stats", "mrr",
     "parse_checkin_file", "poi_similarity", "rank_top_k", "run_battery",

@@ -127,8 +127,9 @@ def save_similarity(path, matrix: np.ndarray) -> None:
 
 def load_similarity(path) -> np.ndarray:
     """Read ``save_similarity``'s layout.  A header that is not two
-    non-negative ints, a line that is not ``row col value``, an index outside
-    the declared shape or a non-finite value raises DataError."""
+    non-negative ints or declares a shape too large to allocate, a line that
+    is not ``row col value``, an index outside the declared shape or a
+    non-finite value raises DataError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             header, *body = f.read().splitlines() or [""]
@@ -141,7 +142,10 @@ def load_similarity(path) -> np.ndarray:
     if len(shape) != 2 or min(shape) < 0:
         raise DataError(f"{path}:1: expected a 'rows cols' header of two non-negative ints, "
                         f"got {header[:60]!r}")
-    out = np.zeros(shape)
+    try:
+        out = np.zeros(shape)
+    except (MemoryError, ValueError) as exc:
+        raise DataError(f"{path}:1: the header's shape {shape} is too large to allocate") from exc
     for lineno, line in enumerate(body, 2):
         fields = line.split()
         try:

@@ -182,9 +182,9 @@ def cmd_evaluate(args) -> int:
     if cfg.variant not in VARIANTS + ("all",):
         raise ConfigError(f"unknown variant {cfg.variant!r}; "
                           f"expected one of {VARIANTS} or 'all'")
-    variants = list(VARIANTS) if cfg.variant == "all" else [cfg.variant]
-    wirings = [evaluate.WIRING[v] for v in variants]
-    for variant, wiring in zip(variants, wirings):
+    variants = VARIANTS if cfg.variant == "all" else (cfg.variant,)
+    for variant in variants:
+        wiring = evaluate.WIRING[variant]
         for needed, flag, given in ((wiring.user_net, "--user-ckpt", args.user_ckpt),
                                     (wiring.poi_net, "--poi-ckpt", args.poi_ckpt)):
             if needed and not given:
@@ -193,20 +193,11 @@ def cmd_evaluate(args) -> int:
     user_net = _load_net(UserNet, args.user_ckpt, dataset) if args.user_ckpt else None
     poi_net = _load_net(PoiNet, args.poi_ckpt, dataset) if args.poi_ckpt else None
     fusion = FusionStrategy.parse(cfg.fusion)
-    # Built once and shared by every variant, as run_battery does.
-    corr_u = (association.user_similarity(dataset)
-              if any(w.user_adj for w in wirings) else None)
-    corr_l = (association.poi_similarity(dataset)
-              if any(w.poi_adj for w in wirings) else None)
-    s_l = (poi_net.predict_score_matrix(dataset)
-           if any(w.poi_net for w in wirings) else None)
+    results = evaluate.evaluate_variants(dataset, user_net, poi_net, variants, fusion,
+                                         cfg.top_ks, s_u_mode=cfg.s_u_mode)
     out = _out_dir(args.out, "report")
     os.makedirs(out, exist_ok=True)
-    for variant in variants:
-        result = evaluate.evaluate_with_nets(dataset, user_net, poi_net, variant,
-                                             fusion, ks=cfg.top_ks, corr_u=corr_u,
-                                             corr_l=corr_l, s_l=s_l,
-                                             s_u_mode=cfg.s_u_mode)
+    for variant, result in results.items():
         report = evaluate.single_report(variant, fusion, cfg.top_ks, result)
         with open(os.path.join(out, f"report_{variant}.json"), "w", encoding="utf-8") as f:
             f.write(report.to_json())

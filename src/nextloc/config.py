@@ -14,18 +14,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _int(text):
-    return int(text)
-
-
-def _float(text):
-    return float(text)
-
-
-def _str(text):
-    return str(text)
-
-
 def _optional_int(text):
     return None if str(text).lower() in ("none", "") else int(text)
 
@@ -65,46 +53,30 @@ class RunConfig:
     batch_size: int | None = None
     fusion: str = "maxpool"
     variant: str = "full"
-    seeds: tuple = (0, 1, 2, 3, 4)
     top_ks: tuple = (1, 5, 10)
     s_u_mode: str = "stepwise"      # user-side rows advance through test time
 
 
-_CONVERTERS = {
-    "format": _str,
-    "min_records": _int,
-    "min_poi_records": _int,
-    "split_ratio": _float,
-    "window": _int,
-    "slots": _int,
-    "dim": _int,
-    "slot_dim": _int,
-    "alpha": _float,
-    "beta": _float,
-    "optimizer": _str,
-    "lr": _float,
-    "epochs": _int,
-    "batch_size": _optional_int,
-    "fusion": _str,
-    "variant": _str,
-    "seeds": _int_tuple,
-    "top_ks": _int_tuple,
-    "s_u_mode": _str,
-}
+#: Fields whose default's type cannot parse their text; the rest use it.
+_CONVERTERS = {"batch_size": _optional_int, "top_ks": _int_tuple}
 
 
 def parse_flat_file(path) -> dict:
     """Read 'key = value' lines; '#' starts a comment, blank lines ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

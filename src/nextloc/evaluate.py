@@ -170,8 +170,6 @@ class _UserSideRows:
 
     def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,
                  mode: str = "stepwise"):
-        if mode not in ("stepwise", "static"):
-            raise ValueError(f"unknown user-side mode {mode!r}")
         self.corr_u = corr_u
         self.mode = mode
         self.instances = [(u, k, e) for u in range(dataset.n_users)
@@ -231,7 +229,7 @@ class _UserSideRows:
         return self.cut_rows[user][self.train_len[user] + test_index - self.first_cut[user]]
 
 
-# -- single evaluation --------------------------------------------------------
+# -- evaluation ---------------------------------------------------------------
 
 def check_fits(dataset: Dataset, net: UserNet | PoiNet) -> None:
     """Refuse a network sized for another dataset's users or places."""
@@ -246,73 +244,98 @@ def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiN
                        ks=(1, 5, 10), corr_u: np.ndarray | None = None,
                        corr_l: np.ndarray | None = None, s_l: np.ndarray | None = None,
                        s_u_mode: str = "stepwise") -> dict:
-    """Metrics for one trained model pair under one variant wiring.
+    """``evaluate_variants`` for one variant: its result dict."""
+    return evaluate_variants(dataset, user_net, poi_net, (variant,), fusion, ks,
+                             corr_u, corr_l, s_l, s_u_mode)[variant]
 
-    Returns {"variant", "fusion", "ranks", "n", "acc", "mrr", "unseen",
-    "per_user"}; "ranks" holds each test event's 1-based rank, by user (or
-    place, for the next-visitor task) and then in test order.  The "unseen"
-    block restricts to test events whose target the user (or place) never saw
-    in training — the cases only the association can recover.
+
+def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNet | None,
+                      variants=VARIANTS, fusion: FusionStrategy = FusionStrategy(),
+                      ks=(1, 5, 10), corr_u: np.ndarray | None = None,
+                      corr_l: np.ndarray | None = None, s_l: np.ndarray | None = None,
+                      s_u_mode: str = "stepwise") -> dict[str, dict]:
+    """{variant: metrics} for one trained model pair, in the requested order.
+
+    Every wiring is checked before anything is scored.  Each part the
+    requested wirings read is built at most once: the similarity matrices and
+    place-side rows ``s_l`` unless given, the cross-place adjustment, and one
+    set of user-side rows, which a single walk ranks under every variant.
+    A result holds "variant", "fusion", "ranks" (each test event's 1-based
+    rank, by user, or place for the next-visitor task, then in test order),
+    "n", "acc", "mrr", "per_user" and "unseen": the same metrics over test
+    events whose target the user (or place) never saw in training, the cases
+    only the association can recover.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    n_candidates = dataset.n_users if variant == "poi_net_only" else dataset.n_pois
-    if max(ks) > n_candidates:
-        raise ValueError(f"top-k {max(ks)} exceeds the {n_candidates} candidates")
-    wiring = WIRING[variant]
-    if wiring.user_net and user_net is None:
-        raise ValueError(f"variant {variant!r} needs a user-side network")
-    if wiring.poi_net and poi_net is None:
-        raise ValueError(f"variant {variant!r} needs a place-side network")
+    variants = tuple(dict.fromkeys(variants))
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        n_candidates = dataset.n_users if variant == "poi_net_only" else dataset.n_pois
+        if max(ks) > n_candidates:
+            raise ValueError(f"top-k {max(ks)} exceeds the {n_candidates} candidates")
+        if WIRING[variant].user_net and user_net is None:
+            raise ValueError(f"variant {variant!r} needs a user-side network")
+        if WIRING[variant].poi_net and poi_net is None:
+            raise ValueError(f"variant {variant!r} needs a place-side network")
     for net in (user_net, poi_net):
         if net is not None:
             check_fits(dataset, net)
-    if wiring.user_adj and corr_u is None:
-        corr_u = association.user_similarity(dataset)
-    if wiring.poi_adj and corr_l is None:
-        corr_l = association.poi_similarity(dataset)
+    if s_u_mode not in ("stepwise", "static"):
+        raise ValueError(f"unknown user-side mode {s_u_mode!r}")
 
+    # Each part that some requested variant reads.
+    used = Wiring(*(any(getattr(WIRING[v], f) for v in variants) for f in Wiring._fields))
+    if used.user_adj and corr_u is None:
+        corr_u = association.user_similarity(dataset)
+    if used.poi_adj and corr_l is None:
+        corr_l = association.poi_similarity(dataset)
+    if used.poi_net and s_l is None:
+        s_l = poi_net.predict_score_matrix(dataset)
     # Place-side rows stay at the end of training history for every instance
     # (see the module docstring), so the cross-place adjustment runs once.
-    if wiring.poi_net:
-        if s_l is None:
-            s_l = poi_net.predict_score_matrix(dataset)
-        if wiring.poi_adj:
-            s_l = association.adjust_poi_scores(corr_l, s_l)
-    if variant == "poi_net_only":
-        return _evaluate_next_visitor(dataset, s_l, variant, fusion, ks)
+    s_l_adj = association.adjust_poi_scores(corr_l, s_l) if used.poi_adj else None
 
-    user_rows = _UserSideRows(dataset, user_net, corr_u if wiring.user_adj else None, s_u_mode)
-    train_sets = dataset.train_poi_sets()
-    instances = user_rows.instances
-    ranks = np.empty(len(instances), dtype=np.int64)
-    for i, own, adjusted in user_rows.walk():
-        u, _, event = instances[i]
-        row = adjusted if wiring.user_adj else own
-        if wiring.poi_net:
-            row = _combine(row, s_l[:, u], fusion)
-        ranks[i] = rank_of_truth(row, event.poi)
-    unseen_mask = [event.poi not in train_sets[u] for u, _, event in instances]
-    per_user_ranks = {}
-    for (u, _, _), rank in zip(instances, ranks.tolist()):
-        per_user_ranks.setdefault(u, []).append(rank)
-    return _package(variant, fusion, ks, ranks, unseen_mask, per_user_ranks)
+    results = {}
+    if "poi_net_only" in variants:
+        results["poi_net_only"] = _evaluate_next_visitor(dataset, s_l_adj, fusion, ks)
+    user_side = [v for v in variants if WIRING[v].user_net]
+    if user_side:
+        user_rows = _UserSideRows(dataset, user_net, corr_u if used.user_adj else None,
+                                  s_u_mode)
+        # Each user-side variant: whether it reads the adjusted row, and the
+        # place-side rows it fuses in (None for none).
+        picks = [(WIRING[v].user_adj,
+                  s_l_adj if WIRING[v].poi_adj else s_l if WIRING[v].poi_net else None)
+                 for v in user_side]
+        instances = user_rows.instances
+        ranks = np.empty((len(user_side), len(instances)), dtype=np.int64)
+        for i, own, adjusted in user_rows.walk():
+            u, _, event = instances[i]
+            for j, (user_adj, place_side) in enumerate(picks):
+                row = adjusted if user_adj else own
+                if place_side is not None:
+                    row = _combine(row, place_side[:, u], fusion)
+                ranks[j, i] = rank_of_truth(row, event.poi)
+        train_sets = dataset.train_poi_sets()
+        unseen_mask = [event.poi not in train_sets[u] for u, _, event in instances]
+        owners = [u for u, _, _ in instances]
+        for variant, variant_ranks in zip(user_side, ranks):
+            results[variant] = _package(variant, fusion, ks, variant_ranks, unseen_mask, owners)
+    return {v: results[v] for v in variants}
 
 
-def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray, variant: str,
+def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray,
                            fusion: FusionStrategy, ks) -> dict:
+    instances = [(p, e) for p in range(dataset.n_pois) for e in dataset.poi_test[p]]
     train_visitors = [{e.user for e in evs} for evs in dataset.poi_train]
-    ranks, unseen_mask, per_poi_ranks = [], [], {}
-    for p in range(dataset.n_pois):
-        for event in dataset.poi_test[p]:
-            rank = rank_of_truth(s_l_adj[p], event.user)
-            ranks.append(rank)
-            unseen_mask.append(event.user not in train_visitors[p])
-            per_poi_ranks.setdefault(p, []).append(rank)
-    return _package(variant, fusion, ks, ranks, unseen_mask, per_poi_ranks)
+    ranks = [rank_of_truth(s_l_adj[p], e.user) for p, e in instances]
+    unseen_mask = [e.user not in train_visitors[p] for p, e in instances]
+    return _package("poi_net_only", fusion, ks, ranks, unseen_mask, [p for p, _ in instances])
 
 
-def _package(variant, fusion, ks, ranks, unseen_mask, per_entity_ranks) -> dict:
+def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
+    """A result dict from each instance's rank, whether its target is unseen,
+    and the user (or place) it belongs to."""
     ranks = np.asarray(ranks)
     unseen_mask = np.asarray(unseen_mask, dtype=bool)
     out = {"variant": variant, "fusion": fusion.label(), "ranks": ranks.tolist()}
@@ -321,6 +344,9 @@ def _package(variant, fusion, ks, ranks, unseen_mask, per_entity_ranks) -> dict:
         out["unseen"] = _metrics_from_ranks(ranks[unseen_mask], ks)
     else:
         out["unseen"] = {"acc": {int(k): None for k in ks}, "mrr": None, "n": 0}
+    per_entity_ranks = {}
+    for e, rank in zip(owners, out["ranks"]):
+        per_entity_ranks.setdefault(e, []).append(rank)
     out["per_user"] = {int(e): {"n": len(r), "mrr": float(np.mean(1.0 / np.asarray(r)))}
                        for e, r in sorted(per_entity_ranks.items())}
     return out
@@ -393,13 +419,14 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
                 seeds=(0, 1, 2, 3, 4), settings: TrainSettings = TrainSettings(),
                 ks=(1, 5, 10), s_u_mode: str = "stepwise", same_day: bool = False,
                 top_k_users: int | None = None, top_k_pois: int | None = None) -> dict[str, "EvalReport"]:
-    """Train once per seed, evaluate every requested variant from shared parts.
+    """Train once per seed, then evaluate every requested variant in one
+    ``evaluate_variants`` pass.
 
     ``source`` is either a fixed Dataset (seeds vary initialization/training)
     or a SyntheticSpec (each seed generates its own dataset too).  The
     association knobs (``same_day``, ``top_k_users``, ``top_k_pois``) and the
-    row protocols are threaded through to every variant so the comparison
-    stays apples-to-apples.
+    row protocol are shared by every variant so the comparison stays
+    apples-to-apples.
     """
     per_variant: dict[str, list[dict]] = {v: [] for v in variants}
     for seed in seeds:
@@ -409,11 +436,9 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
         corr_u = association.user_similarity(dataset, same_day=same_day,
                                              top_k=top_k_users)
         corr_l = association.poi_similarity(dataset, top_k=top_k_pois)
-        s_l = poi_net.predict_score_matrix(dataset)
-        for variant in variants:
-            result = evaluate_with_nets(dataset, user_net, poi_net, variant, fusion,
-                                        ks=ks, corr_u=corr_u, corr_l=corr_l, s_l=s_l,
-                                        s_u_mode=s_u_mode)
+        results = evaluate_variants(dataset, user_net, poi_net, variants, fusion, ks,
+                                    corr_u=corr_u, corr_l=corr_l, s_u_mode=s_u_mode)
+        for variant, result in results.items():
             result["seed"] = seed
             per_variant[variant].append(result)
     return {v: _aggregate(v, fusion, ks, seeds, runs) for v, runs in per_variant.items()}
@@ -441,7 +466,7 @@ def synthetic_battery(spec: SyntheticSpec | None = None, variants=VARIANTS,
 
 
 def single_report(variant: str, fusion: FusionStrategy, ks, result: dict) -> EvalReport:
-    """Wrap one evaluate_with_nets result (e.g. from fixed checkpoints) as a report."""
+    """Wrap one variant's evaluation result (e.g. from fixed checkpoints) as a report."""
     run = dict(result)
     run.setdefault("seed", None)
     return _aggregate(variant, fusion, ks, [], [run])

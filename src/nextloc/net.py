@@ -181,6 +181,10 @@ class WindowNet:
         cuts = np.asarray(cuts, dtype=np.int64)
         if cuts.size and (cuts.min() < 0 or cuts.max() > len(events)):
             raise ValueError(f"cuts must lie in [0, {len(events)}]")
+        params = self.named_parameters()
+        n_contexts = params[self.context_input[1]].shape[0]
+        if not 0 <= context < n_contexts:
+            raise ValueError(f"context {context} outside [0, {n_contexts})")
         n_candidates = self.w_out.shape[1]
         rows = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
         order = np.argsort(cuts, kind="stable")
@@ -193,7 +197,6 @@ class WindowNet:
         def column(field):
             return table[:, fields.index(field)]
 
-        params = self.named_parameters()
         inputs = [(params[name], column(field).astype(np.intp)[None])
                   for field, name in self.step_inputs]
         states = ad.recurrent_states(inputs, self._cell())[1][0]
@@ -233,6 +236,8 @@ class WindowNet:
         with batch_size set, windows are reshuffled each epoch from the seed.
         Each step's loss is the mean over its chunk's predicted rows.
         """
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         pool = list(getattr(dataset, self.window_pool) if windows is None else windows)
         if not pool:
             raise ValueError("no training windows")

@@ -214,6 +214,7 @@ class TestPersistence:
         ("2 2 2\n", "header"),
         ("-1 2\n", "header"),
         ("2 x\n", "header"),
+        ("10000000 10000000\n0 0 1.0\n", "too large"),
         ("2 2\n0 1\n", "row col value"),
         ("2 2\n0 1 0.5 7\n", "row col value"),
         ("2 2\n0 1 high\n", "row col value"),

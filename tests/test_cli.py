@@ -7,6 +7,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextloc import association, cli
 from nextloc import autodiff as ad
@@ -237,6 +239,17 @@ class TestTrain:
                          "--out", str(tmp_path / "m")]) == cli.EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("net", ["user", "poi"])
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_batch_size_below_one_is_usage_error(self, data_dir, tmp_path, capsys, net,
+                                                 batch_size):
+        out = tmp_path / "m"
+        assert cli.main(["train", "--data", str(data_dir), "--net", net, "--epochs", "1",
+                         "--dim", "4", "--batch-size", batch_size,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"batch_size must be at least 1, got {batch_size}" in capsys.readouterr().err
+        assert not (out / f"{net}_net.ckpt").exists()
+
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
         out = tmp_path / "init"
         assert cli.main(["train", "--data", str(data_dir), "--net", "user",
@@ -404,6 +417,13 @@ class TestAblate:
         assert payload["seeds"] == [0]
         assert set(json.loads((out / "run.json").read_text())["config"]) == set(cli.ABLATE_KEYS)
 
+    def test_seeds_come_only_from_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("seeds = 3\n")
+        assert cli.main(["ablate", "--showcase", "--config", str(config),
+                         "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+        assert "unknown config key 'seeds'" in capsys.readouterr().err
+
     def test_needs_a_source(self, tmp_path):
         assert cli.main(["ablate", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
 
@@ -491,6 +511,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_flat_file(path)
 
+    def test_flat_file_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_bytes(b"dim = \xff\n")
+        with pytest.raises(ConfigError, match=r"c\.conf: not UTF-8"):
+            parse_flat_file(path)
+
     def test_tuple_and_optional_fields(self):
         cfg = load_run_config(None, {"top_ks": "1,3", "batch_size": "none"})
         assert cfg.top_ks == (1, 3)
@@ -512,3 +538,26 @@ class TestConfig:
         assert base == config_hash(RunConfig())
         assert base != config_hash(RunConfig(epochs=151))
         assert len(base) == 64 and set(base) <= set("0123456789abcdef")
+
+
+@pytest.fixture(scope="module")
+def flat_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "c.conf"
+
+
+FLAT_LINE = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.text(max_size=8), st.text(max_size=8)).map("=".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(FLAT_LINE, max_size=5).map(lambda ls: "\n".join(ls).encode())))
+def test_flat_file_fuzz_parses_or_raises_config_error(flat_path, data):
+    """Any bytes either parse to a str -> str dict or raise ConfigError."""
+    flat_path.write_bytes(data)
+    try:
+        parsed = parse_flat_file(flat_path)
+    except ConfigError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in parsed.items())

@@ -8,9 +8,10 @@ import pytest
 
 from nextloc import association
 from nextloc.data import CheckIn, DataError, build_dataset
-from nextloc.evaluate import (WIRING, EvalReport, FusionStrategy, TrainSettings,
-                              _UserSideRows, acc_at_k, case_report,
-                              evaluate_with_nets, fuse, mrr, motivation_stats,
+from nextloc.evaluate import (VARIANTS, WIRING, EvalReport, FusionStrategy,
+                              TrainSettings, _UserSideRows, acc_at_k, case_report,
+                              evaluate_variants, evaluate_with_nets, fuse, mrr,
+                              motivation_stats,
                               rank_of_truth, rank_top_k, run_battery,
                               single_report)
 from nextloc.poi_net import PoiNet
@@ -334,6 +335,70 @@ class TestTimeOrderedPass:
     def test_place_side_required(self, small_dataset, nets):
         with pytest.raises(ValueError, match="place-side"):
             evaluate_with_nets(small_dataset, nets[0], None, variant="no_cross_user")
+
+
+class TestOnePass:
+    """evaluate_variants checks every wiring first, builds each shared part
+    once, and ranks every variant as one-variant calls would."""
+
+    @pytest.fixture
+    def counts(self, nets, monkeypatch):
+        """Rows each network scores and calls of each adjustment."""
+        tally = {"user_rows": 0, "poi_rows": 0,
+                 "adjust_user_scores": 0, "adjust_poi_scores": 0}
+
+        def counting(key, fn, size=lambda result: 1):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                tally[key] += size(result)
+                return result
+            return wrapper
+
+        for key, net in zip(("user_rows", "poi_rows"), nets):
+            monkeypatch.setattr(net, "score_rows_at_cuts",
+                                counting(key, net.score_rows_at_cuts, len))
+        for key in ("adjust_user_scores", "adjust_poi_scores"):
+            monkeypatch.setattr(association, key, counting(key, getattr(association, key)))
+        return tally
+
+    @pytest.mark.parametrize("mode", ["stepwise", "static"])
+    def test_matches_one_variant_calls(self, small_dataset, nets, mode):
+        ds = small_dataset
+        shared = dict(ks=(1, 5), corr_u=association.user_similarity(ds),
+                      corr_l=association.poi_similarity(ds), s_u_mode=mode)
+        together = evaluate_variants(ds, *nets, VARIANTS, **shared)
+        assert list(together) == list(VARIANTS)
+        for variant in VARIANTS:
+            assert together[variant] == evaluate_with_nets(ds, *nets, variant, **shared)
+
+    @pytest.mark.parametrize("mode, user_rows", [
+        ("static", lambda ds: ds.n_users),
+        ("stepwise", lambda ds: sum(len(ds.train[u]) + len(ds.test[u]) + 1
+                                    for u in range(ds.n_users)))], ids=["static", "stepwise"])
+    def test_each_part_is_built_once(self, small_dataset, nets, counts, mode, user_rows):
+        evaluate_variants(small_dataset, *nets, VARIANTS, s_u_mode=mode)
+        assert counts == {"user_rows": user_rows(small_dataset),
+                          "poi_rows": small_dataset.n_pois,
+                          "adjust_user_scores": int(mode == "static"),
+                          "adjust_poi_scores": 1}
+
+    def test_unread_parts_are_not_built(self, small_dataset, nets, counts):
+        evaluate_variants(small_dataset, *nets, ("user_net_only",), s_u_mode="stepwise")
+        assert counts == {"user_rows": sum(len(evs) for evs in small_dataset.test),
+                          "poi_rows": 0, "adjust_user_scores": 0, "adjust_poi_scores": 0}
+
+    @pytest.mark.parametrize("variants, nets_given, max_k, match", [
+        (("full", "oracle"), (True, True), 5, "unknown variant"),
+        (("poi_net_only", "full"), (False, True), 5, "user-side"),
+        (("user_net_only", "no_cross_user"), (True, False), 5, "place-side"),
+        (("full", "poi_net_only"), (True, True), 11, "top-k"),   # 10 users, 20 places
+    ])
+    def test_every_wiring_is_checked_before_scoring(self, small_dataset, nets, counts,
+                                                     variants, nets_given, max_k, match):
+        given = [net if ok else None for net, ok in zip(nets, nets_given)]
+        with pytest.raises(ValueError, match=match):
+            evaluate_variants(small_dataset, *given, variants, ks=(1, max_k))
+        assert not any(counts.values())
 
 
 class TestReports:

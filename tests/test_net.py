@@ -132,3 +132,12 @@ def test_ids_beyond_the_tables_are_rejected(small_dataset, kind):
         bad = [e._replace(**{field: 10_000}) for e in window]
         with pytest.raises(ValueError, match="out of range"):
             net.window_loss([bad])
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_context_id_outside_the_table_is_rejected(small_dataset, kind):
+    net = NETS[kind](small_dataset)
+    histories = getattr(small_dataset, net.history)
+    for context in (-1, len(histories)):
+        with pytest.raises(ValueError, match="context"):
+            net.score_rows_at_cuts(histories[0], context, [len(histories[0])])
