@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .data import DataError, Dataset, day_index
+from .dataset import DataError, Dataset, day_index
 
 
 def user_similarity(dataset: Dataset, same_day: bool = False,
@@ -27,9 +27,11 @@ def user_similarity(dataset: Dataset, same_day: bool = False,
     pairs instead — a stricter variant for sensitivity checks.
     """
     if same_day:
-        sets = [{(r.poi, day_index(r.t)) for r in evs} for evs in dataset.train]
+        events = dataset.events
+        sets = [set(zip(events.poi[rows].tolist(), day_index(events.t[rows]).tolist()))
+                for rows in map(dataset.by_user.history, range(dataset.n_users))]
     else:
-        sets = [set(s) for s in dataset.train_poi_sets()]
+        sets = dataset.train_poi_sets()
     m_users = dataset.n_users
     corr = np.zeros((m_users, m_users))
     for m in range(m_users):
@@ -55,10 +57,12 @@ def poi_similarity(dataset: Dataset, normalize: str = "global",
     if normalize not in ("global", "row"):
         raise ValueError(f"unknown normalization {normalize!r}")
     n_pois = dataset.n_pois
+    g, events = dataset.by_user, dataset.events
+    train = g.order[g.positions()[2]]
     visits_by_user_day: dict[tuple[int, int], set[int]] = {}
-    for evs in dataset.train:
-        for r in evs:
-            visits_by_user_day.setdefault((r.user, day_index(r.t)), set()).add(r.poi)
+    for key in zip(events.user[train].tolist(), day_index(events.t[train]).tolist(),
+                   events.poi[train].tolist()):
+        visits_by_user_day.setdefault(key[:2], set()).add(key[2])
     pair_days: dict[tuple[int, int], set[int]] = {}
     for (_, day), pois in visits_by_user_day.items():
         members = sorted(pois)
@@ -85,14 +89,12 @@ def truncate_top_k(corr: np.ndarray, k: int) -> np.ndarray:
     """Keep each row's k largest off-diagonal entries (ties to lower index)."""
     if k < 0:
         raise ValueError("top_k must be non-negative")
+    off_diagonal = corr.copy()
+    np.fill_diagonal(off_diagonal, -np.inf)
+    keep = np.argsort(-off_diagonal, axis=1, kind="stable")[:, :k]
     out = np.zeros_like(corr)
-    n = corr.shape[0]
-    for i in range(n):
-        row = corr[i].copy()
-        row[i] = -np.inf
-        keep = np.argsort(-row, kind="stable")[:k]
-        out[i, keep] = corr[i, keep]
-        out[i, i] = corr[i, i]
+    np.put_along_axis(out, keep, np.take_along_axis(corr, keep, axis=1), axis=1)
+    np.fill_diagonal(out, np.diagonal(corr))
     return out
 
 

@@ -94,9 +94,9 @@ def cmd_ingest(args) -> int:
     out = _out_dir(args.out, "dataset")
     save_dataset(dataset, out)
     _write_manifest(out, "ingest", cfg, keys=DATA_KEYS)
-    n_train = sum(len(t) for t in dataset.train)
-    n_test = sum(len(t) for t in dataset.test)
-    print(f"users={dataset.n_users} pois={dataset.n_pois} events={len(dataset.records)} "
+    n_train = int(dataset.by_user.train_counts.sum())
+    n_test = len(dataset.events) - n_train
+    print(f"users={dataset.n_users} pois={dataset.n_pois} events={len(dataset.events)} "
           f"train={n_train} test={n_test} malformed={parsed.malformed}")
     print(f"dataset written to {out}")
     return 0
@@ -114,7 +114,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args.out, "synthetic")
     save_dataset(dataset, out)
     _write_manifest(out, "synth", spec, seeds=[args.seed])
-    print(f"users={dataset.n_users} pois={dataset.n_pois} events={len(dataset.records)} "
+    print(f"users={dataset.n_users} pois={dataset.n_pois} events={len(dataset.events)} "
           f"clone_pairs={len(dataset.meta.get('clone_pairs', []))} seed={args.seed}")
     print(f"dataset written to {out}")
     return 0
@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
         net = PoiNet(dataset.n_users, dataset.n_pois, n_slots=dataset.slots,
                      dim=cfg.dim, slot_dim=cfg.slot_dim, seed=args.seed)
     log = net.train(dataset, cfg.epochs, seed=args.seed, lr=cfg.lr,
-                    optimizer=cfg.optimizer, batch_size=cfg.batch_size) if cfg.epochs else []
+                    optimizer=cfg.optimizer, batch_size=cfg.batch_size)
     ckpt = os.path.join(out, f"{args.net}_net.ckpt")
     net.save(ckpt)
     with open(os.path.join(out, f"{args.net}_loss.txt"), "w", encoding="utf-8") as f:

@@ -1,44 +1,27 @@
-"""Check-in ingestion, filtering, train/test structuring, and synthetic data.
+"""Check-in files, ingestion filters, dataset directories and synthetic data.
 
-A dataset is built from flat check-in records and keeps both orderings of the
-same events: per-user trajectories (for next-place training) and per-place
-visitor histories (for next-visitor training).  The synthetic generator plants
-recoverable structure — paired "clone" users sharing a POI pool, per-POI time
-profiles, uniform noise — so the association machinery can be verified against
-known ground truth.
+Parsing and writing work on whole columns (``nextloc.dataset.Events``), a
+block of lines at a time.  The synthetic generator plants recoverable
+structure — paired "clone" users sharing a POI pool, per-POI time profiles,
+uniform noise — so the association machinery can be verified against known
+ground truth.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 from datetime import datetime, timezone
-from typing import NamedTuple
 
 import numpy as np
 
-
-class DataError(ValueError):
-    """Unusable input data or an infeasible synthetic specification."""
-
-
-class CheckIn(NamedTuple):
-    user: int
-    t: int          # seconds since epoch, UTC
-    lat: float
-    lon: float
-    poi: int
-
-
-class VisitEvent(NamedTuple):
-    poi: int
-    user: int
-    slot: int       # time-slot-of-day index in [0, slots)
-    weekday: int    # Monday = 0
-    t: int
-
+# The in-memory dataset, re-exported: the data layer's public names stay here.
+from .dataset import (_EPOCH_WEEKDAY_OFFSET, SECONDS_PER_DAY, CheckIn,  # noqa: F401
+                      DataError, Dataset, Events, VisitEvent, build_dataset,
+                      day_index, discretize_time, make_windows, split_point)
 
 # Column orders of the supported raw formats.  Both use tab-separated lines
 # with ISO-8601 UTC timestamps; they differ only in where the POI id sits.
@@ -47,9 +30,11 @@ FORMATS = {
     "foursquare": ("user", "poi", "lat", "lon", "time"),
 }
 
-SECONDS_PER_DAY = 86400
-# 1970-01-01 was a Thursday; shift so that Monday maps to 0.
-_EPOCH_WEEKDAY_OFFSET = 3
+# Line templates of the writer: the time field gets its "Z" there.
+_LINE = {fmt: "\t".join("{}Z" if c == "time" else "{}" for c in columns) + "\n"
+         for fmt, columns in FORMATS.items()}
+# Timestamps the writer can spell as YYYY-MM-DDTHH:MM:SSZ: years 1000 to 9999.
+_WRITABLE_T = (-30610224000, 253402300799)
 
 
 def parse_timestamp(text: str) -> int:
@@ -64,29 +49,80 @@ def format_timestamp(t: int) -> str:
     return datetime.fromtimestamp(int(t), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def discretize_time(t: int, slots: int = 24) -> tuple[int, int]:
-    """Map an epoch timestamp to (slot-of-day, weekday), both UTC-based."""
-    slot = (t % SECONDS_PER_DAY) * slots // SECONDS_PER_DAY
-    weekday = (t // SECONDS_PER_DAY + _EPOCH_WEEKDAY_OFFSET) % 7
-    return int(slot), int(weekday)
-
-
-def day_index(t: int) -> int:
-    """Calendar day bucket (UTC) used for same-day co-visit counting."""
-    return int(t // SECONDS_PER_DAY)
-
-
-def _text_lines(fh, path):
-    """The lines of a text file; bytes that are not UTF-8 raise DataError."""
+def _text_blocks(path, size: int = 1 << 16):
+    """The lines of a UTF-8 text file, without their newlines, in blocks of
+    about ``size`` characters; bytes that are not UTF-8 raise DataError."""
     try:
-        yield from fh
+        with open(path, "r", encoding="utf-8") as f:
+            while block := f.readlines(size):
+                lines = "".join(block).split("\n")
+                if not lines[-1]:
+                    lines.pop()     # the text after the block's last newline
+                yield lines
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+# Character positions of YYYY-MM-DDTHH:MM:SSZ: digits, then the rest.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_MARKS = ([4, 7, 10, 13, 16, 19], [ord(c) for c in "--T::Z"])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _parse_times(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of each text, and whether ``parse_timestamp`` accepts it.
+
+    Valid ``YYYY-MM-DDTHH:MM:SSZ`` texts are read by array arithmetic (days
+    from the civil date); any other text goes through ``parse_timestamp``.
+    """
+    codes = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)
+    d = codes[:, _DIGITS].astype(np.int64) - ord("0")
+    y = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    mo, day, h, mi, s = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(mo, 0, 12)] + (leap & (mo == 2))
+    ok = (((d >= 0) & (d <= 9)).all(axis=1) & (codes[:, _MARKS[0]] == _MARKS[1]).all(axis=1)
+          & (np.fromiter(map(len, texts), np.int64, len(texts)) == 20)
+          & (mo >= 1) & (mo <= 12) & (day >= 1) & (day <= month_days)
+          & (h <= 23) & (mi <= 59) & (s <= 59))
+    y = y - (mo <= 2)
+    doy = (153 * ((mo + 9) % 12) + 2) // 5 + day - 1
+    days = y // 400 * 146097 + (y % 400) * 365 + (y % 400) // 4 - (y % 400) // 100 + doy - 719468
+    t = days * SECONDS_PER_DAY + h * 3600 + mi * 60 + s
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            t[i], ok[i] = parse_timestamp(texts[i]), True
+        except ValueError:
+            pass
+    return t, ok
+
+
+def _parse_floats(texts: list[str]) -> np.ndarray:
+    """``float`` of each text; nan where it refuses the text."""
+    try:
+        return np.array(list(map(float, texts)), dtype=np.float64)
+    except ValueError:
+        def value(text):
+            try:
+                return float(text)
+            except ValueError:
+                return math.nan
+        return np.array(list(map(value, texts)), dtype=np.float64)
+
+
+def _dense_ids(raw_ids: list[str], seen: dict[str, int]) -> list[int]:
+    """The dense id of each raw id; ids not in ``seen`` join it in order."""
+    try:
+        return list(map(seen.__getitem__, raw_ids))
+    except KeyError:
+        return [seen.setdefault(r, len(seen)) for r in raw_ids]
+
+
 @dataclasses.dataclass
 class ParseResult:
-    records: list[CheckIn]
+    records: Events            # user, t, lat, lon, poi columns, in file order
     user_ids: dict[str, int]   # raw id -> dense index, first-seen order
     poi_ids: dict[str, int]
     malformed: int
@@ -96,206 +132,89 @@ class ParseResult:
 def parse_checkin_file(path, fmt: str = "gowalla",
                        user_ids: dict[str, int] | None = None,
                        poi_ids: dict[str, int] | None = None) -> ParseResult:
-    """Parse a tab-separated check-in file into dense-indexed records.
+    """Parse a tab-separated check-in file into dense-indexed columns.
 
     Dense ids are assigned in first-seen order, or taken from the optional
     preassigned dictionaries (which lets an exported dataset re-parse to the
-    exact same indices).  Malformed lines are counted, not fatal, unless they
-    exceed 1% of the file — that usually means the wrong format was chosen.
+    exact same indices).  A line is malformed unless it has five fields, an
+    ISO-8601 time after the epoch, a latitude in [-90, 90] and a longitude in
+    (-180, 180].  Malformed lines are counted, not fatal, unless they exceed
+    1% of the file's non-empty lines — that usually means the wrong format
+    was chosen.
     """
     if fmt not in FORMATS:
         raise DataError(f"unknown format {fmt!r}; expected one of {sorted(FORMATS)}")
-    columns = FORMATS[fmt]
-    users = dict(user_ids) if user_ids else {}
-    pois = dict(poi_ids) if poi_ids else {}
-    records: list[CheckIn] = []
-    malformed = 0
-    total = 0
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line in _text_lines(fh, path):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            total += 1
-            fields = line.split("\t")
-            if len(fields) != 5:
-                malformed += 1
-                continue
-            row = dict(zip(columns, fields))
-            try:
-                t = parse_timestamp(row["time"])
-                lat = float(row["lat"])
-                lon = float(row["lon"])
-            except (ValueError, KeyError):
-                malformed += 1
-                continue
-            if not (t > 0 and -90.0 <= lat <= 90.0 and -180.0 < lon <= 180.0):
-                malformed += 1
-                continue
-            u = users.setdefault(row["user"], len(users))
-            p = pois.setdefault(row["poi"], len(pois))
-            records.append(CheckIn(u, t, lat, lon, p))
-    if total and malformed * 100 > total:
+    ids = {"user": dict(user_ids) if user_ids else {}, "poi": dict(poi_ids) if poi_ids else {}}
+    blocks, total = [], 0
+    for lines in _text_blocks(path):
+        total += len(lines) - lines.count("")
+        whole = [line for line in lines if line.count("\t") == 4]
+        fields = "\t".join(whole).split("\t") if whole else []
+        raw = {name: fields[k::5] for k, name in enumerate(FORMATS[fmt])}
+        t, ok = _parse_times(raw["time"])
+        lat, lon = _parse_floats(raw["lat"]), _parse_floats(raw["lon"])
+        ok &= (t > 0) & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 < lon) & (lon <= 180.0)
+        dense = {name: np.array(_dense_ids(list(itertools.compress(raw[name], ok.tolist())),
+                                           seen), np.int64)
+                 for name, seen in ids.items()}
+        blocks.append(dict(dense, t=t[ok], lat=lat[ok], lon=lon[ok]))
+    n_kept = sum(len(b["t"]) for b in blocks)
+    if total and (total - n_kept) * 100 > total:
         raise DataError(
-            f"{path}: {malformed}/{total} malformed lines (>1%); wrong --format?")
-    if not records:
+            f"{path}: {total - n_kept}/{total} malformed lines (>1%); wrong --format?")
+    if not n_kept:
         raise DataError(f"{path}: no usable check-in records")
-    return ParseResult(records, users, pois, malformed, total)
+    records = Events(CheckIn, **{f: np.concatenate([b[f] for b in blocks]) for f in CheckIn._fields})
+    return ParseResult(records, ids["user"], ids["poi"], total - n_kept, total)
 
 
-def _compact(records: list[CheckIn]) -> tuple[list[CheckIn], dict[int, int], dict[int, int]]:
-    """Reassign dense ids in first-seen order of the given record stream."""
-    user_map: dict[int, int] = {}
-    poi_map: dict[int, int] = {}
-    out = []
-    for r in records:
-        u = user_map.setdefault(r.user, len(user_map))
-        p = poi_map.setdefault(r.poi, len(poi_map))
-        out.append(CheckIn(u, r.t, r.lat, r.lon, p))
-    return out, user_map, poi_map
+def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+    """Dense ids renumbered in first-seen order, and the old -> new map."""
+    first = np.full(ids.max() + 1, ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    old = np.flatnonzero(first < ids.size)
+    old = old[np.argsort(first[old])]
+    new = np.empty_like(first)
+    new[old] = np.arange(old.size)
+    return new[ids], dict(zip(old.tolist(), range(old.size)))
 
 
 @dataclasses.dataclass
 class FilterResult:
-    records: list[CheckIn]
+    records: Events
     user_map: dict[int, int]   # old dense id -> new dense id (dropped ids absent)
     poi_map: dict[int, int]
 
 
-def filter_inactive_users(records: list[CheckIn], min_count: int = 100) -> FilterResult:
+def _filter(records, field: str, min_count: int, what: str) -> FilterResult:
+    """Drop the records whose ``field`` id has fewer than min_count records,
+    then recompact both ids in first-seen order of what is left."""
+    if min_count < 1:
+        raise DataError("min_count must be >= 1")
+    events = Events.of(records)
+    if min(events.user.min(initial=0), events.poi.min(initial=0)) < 0:
+        raise DataError("user and POI ids must be non-negative")
+    ids = getattr(events, field)
+    kept = events.take(np.bincount(ids)[ids] >= min_count)
+    if not len(kept):
+        raise DataError(f"no {what} with at least {min_count} records")
+    (user, user_map), (poi, poi_map) = _first_seen(kept.user), _first_seen(kept.poi)
+    return FilterResult(Events(CheckIn, user=user, t=kept.t, lat=kept.lat, lon=kept.lon,
+                               poi=poi), user_map, poi_map)
+
+
+def filter_inactive_users(records, min_count: int = 100) -> FilterResult:
     """Drop users with fewer than min_count records and recompact dense ids.
 
     POIs left with zero records disappear from the index as a side effect of
     recompaction.
     """
-    if min_count < 1:
-        raise DataError("min_count must be >= 1")
-    counts: dict[int, int] = {}
-    for r in records:
-        counts[r.user] = counts.get(r.user, 0) + 1
-    kept = [r for r in records if counts[r.user] >= min_count]
-    if not kept:
-        raise DataError(f"no users with at least {min_count} records")
-    compacted, user_map, poi_map = _compact(kept)
-    return FilterResult(compacted, user_map, poi_map)
+    return _filter(records, "user", min_count, "users")
 
 
-def filter_rare_pois(records: list[CheckIn], min_count: int) -> FilterResult:
+def filter_rare_pois(records, min_count: int) -> FilterResult:
     """Optional mirror of the user filter for rarely visited POIs (off by default)."""
-    if min_count < 1:
-        raise DataError("min_count must be >= 1")
-    counts: dict[int, int] = {}
-    for r in records:
-        counts[r.poi] = counts.get(r.poi, 0) + 1
-    kept = [r for r in records if counts[r.poi] >= min_count]
-    if not kept:
-        raise DataError(f"no POIs with at least {min_count} records")
-    compacted, user_map, poi_map = _compact(kept)
-    return FilterResult(compacted, user_map, poi_map)
-
-
-def split_point(n_events: int, ratio: float) -> int:
-    """Train-event count for a user with n_events records: ceil(ratio * n)."""
-    return math.ceil(ratio * n_events)
-
-
-def make_windows(events: list, window: int) -> list[list]:
-    """Cut a sequence into non-overlapping chunks of the window length.
-
-    A shorter tail is kept when it still has an input step and a target
-    (length >= 2), otherwise dropped.
-    """
-    out = []
-    for start in range(0, len(events), window):
-        chunk = events[start:start + window]
-        if len(chunk) >= 2:
-            out.append(chunk)
-    return out
-
-
-@dataclasses.dataclass
-class Dataset:
-    """Both orderings of one event set, split chronologically per user."""
-    n_users: int
-    n_pois: int
-    split_ratio: float
-    window: int
-    slots: int
-    records: list[CheckIn]                 # all events, global (t, user, poi) order
-    train: list[list[CheckIn]]             # per user
-    test: list[list[CheckIn]]              # per user
-    poi_train: list[list[VisitEvent]]      # per POI
-    poi_test: list[list[VisitEvent]]
-    user_windows: list[list[CheckIn]]      # training sub-sequences, all users
-    poi_windows: list[list[VisitEvent]]
-    user_raw: list[str]
-    poi_raw: list[str]
-    meta: dict
-
-    @property
-    def cold_pois(self) -> list[int]:
-        return [p for p, h in enumerate(self.poi_train) if not h]
-
-    def train_poi_sets(self) -> list[set[int]]:
-        """Distinct POIs each user visits in the training split."""
-        return [{r.poi for r in evs} for evs in self.train]
-
-
-def build_dataset(records: list[CheckIn], split_ratio: float = 0.8,
-                  window: int = 20, slots: int = 24,
-                  user_raw: list[str] | None = None,
-                  poi_raw: list[str] | None = None,
-                  meta: dict | None = None) -> Dataset:
-    if not records:
-        raise DataError("no records to build a dataset from")
-    n_users = max(r.user for r in records) + 1
-    n_pois = max(r.poi for r in records) + 1
-    ordered = sorted(records, key=lambda r: (r.t, r.user, r.poi))
-
-    by_user: list[list[CheckIn]] = [[] for _ in range(n_users)]
-    for r in ordered:
-        by_user[r.user].append(r)
-
-    train: list[list[CheckIn]] = []
-    test: list[list[CheckIn]] = []
-    train_cut_ts: dict[int, int] = {}
-    for u, events in enumerate(by_user):
-        n_train = split_point(len(events), split_ratio)
-        if n_train < 2:
-            raise DataError(f"user {u} has {n_train} train events; need at least 2")
-        train.append(events[:n_train])
-        test.append(events[n_train:])
-        train_cut_ts[u] = events[n_train - 1].t
-
-    poi_train: list[list[VisitEvent]] = [[] for _ in range(n_pois)]
-    poi_test: list[list[VisitEvent]] = [[] for _ in range(n_pois)]
-    train_counts = [len(t) for t in train]
-    seen = [0] * n_users
-    for r in ordered:
-        slot, weekday = discretize_time(r.t, slots)
-        ev = VisitEvent(r.poi, r.user, slot, weekday, r.t)
-        seen[r.user] += 1
-        if seen[r.user] <= train_counts[r.user]:
-            poi_train[r.poi].append(ev)
-        else:
-            poi_test[r.poi].append(ev)
-
-    user_windows = [w for evs in train for w in make_windows(evs, window)]
-    poi_windows = [w for evs in poi_train for w in make_windows(evs, window)]
-
-    return Dataset(
-        n_users=n_users, n_pois=n_pois, split_ratio=split_ratio,
-        window=window, slots=slots, records=ordered,
-        train=train, test=test, poi_train=poi_train, poi_test=poi_test,
-        user_windows=user_windows, poi_windows=poi_windows,
-        user_raw=user_raw or [f"u{i}" for i in range(n_users)],
-        poi_raw=poi_raw or [f"p{i}" for i in range(n_pois)],
-        meta=meta or {},
-    )
+    return _filter(records, "poi", min_count, "POIs")
 
 
 # ---------------------------------------------------------------------------
@@ -661,14 +580,22 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 MANIFEST_NAME = "manifest.json"
 
 
-def write_checkin_file(path, records: list[CheckIn], user_raw: list[str],
+def write_checkin_file(path, records, user_raw: list[str],
                        poi_raw: list[str], fmt: str = "gowalla") -> None:
-    columns = FORMATS[fmt]
+    """Write check-ins (an Events or a list of CheckIn) as ``parse_checkin_file``
+    reads them: raw ids, YYYY-MM-DDTHH:MM:SSZ times and ``repr`` coordinates."""
+    events = Events.of(records)
+    if len(events) and not (_WRITABLE_T[0] <= events.t.min() and events.t.max() <= _WRITABLE_T[1]):
+        raise DataError("timestamps must fall in the years 1000 to 9999 to be written")
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            row = {"user": user_raw[r.user], "poi": poi_raw[r.poi],
-                   "time": format_timestamp(r.t), "lat": repr(r.lat), "lon": repr(r.lon)}
-            f.write("\t".join(row[c] for c in columns) + "\n")
+        for start in range(0, len(events), 1024):
+            block = events.take(slice(start, start + 1024))
+            text = {"user": [user_raw[u] for u in block.user.tolist()],
+                    "poi": [poi_raw[p] for p in block.poi.tolist()],
+                    "time": block.t.astype("datetime64[s]").astype("U19").tolist(),
+                    "lat": list(map(repr, block.lat.tolist())),
+                    "lon": list(map(repr, block.lon.tolist()))}
+            f.writelines(map(_LINE[fmt].format, *(text[c] for c in FORMATS[fmt])))
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
@@ -679,7 +606,7 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         "format": "gowalla",
         "n_users": dataset.n_users,
         "n_pois": dataset.n_pois,
-        "n_events": len(dataset.records),
+        "n_events": len(dataset.events),
         "split_ratio": dataset.split_ratio,
         "window": dataset.window,
         "slots": dataset.slots,
@@ -687,12 +614,11 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    write_checkin_file(os.path.join(out_dir, "events.tsv"), dataset.records,
+    write_checkin_file(os.path.join(out_dir, "events.tsv"), dataset.events,
                        dataset.user_raw, dataset.poi_raw, "gowalla")
     for name, raw in (("users.tsv", dataset.user_raw), ("pois.tsv", dataset.poi_raw)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-            for dense, raw_id in enumerate(raw):
-                f.write(f"{dense}\t{raw_id}\n")
+            f.writelines(f"{dense}\t{raw_id}\n" for dense, raw_id in enumerate(raw))
     if dataset.meta:
         with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as f:
             json.dump(dataset.meta, f, indent=2, sort_keys=True)
@@ -702,17 +628,16 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 def _read_id_map(path) -> list[str]:
     """Raw ids of a users.tsv/pois.tsv file, one "<dense>\t<raw>" line each."""
     out: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(_text_lines(f, path), start=1):
-            fields = line.rstrip("\n").split("\t")
-            try:
-                dense_ok = len(fields) == 2 and int(fields[0]) == len(out)
-            except ValueError:
-                dense_ok = False
-            if not dense_ok:
-                raise DataError(f"{path}:{n}: expected '{len(out)}<TAB>raw id' "
-                                f"(ids densely ordered), got {line[:60]!r}")
-            out.append(fields[1])
+    for n, line in enumerate(itertools.chain.from_iterable(_text_blocks(path)), start=1):
+        fields = line.split("\t")
+        try:
+            dense_ok = len(fields) == 2 and int(fields[0]) == len(out)
+        except ValueError:
+            dense_ok = False
+        if not dense_ok:
+            raise DataError(f"{path}:{n}: expected '{len(out)}<TAB>raw id' "
+                            f"(ids densely ordered), got {line[:60]!r}")
+        out.append(fields[1])
     return out
 
 
@@ -743,7 +668,13 @@ def _manifest_settings(manifest, path) -> tuple[str, float, int, int]:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read ``save_dataset``'s directory; any malformed part raises DataError."""
+    """Read ``save_dataset``'s directory; any malformed part raises DataError.
+
+    So does a directory whose parts disagree: an event id missing from
+    ``users.tsv``/``pois.tsv``, a user there without events, or a manifest
+    ``n_users``/``n_pois``/``n_events`` other than what the files hold.
+    ``pois.tsv`` names every place, so a place without events is a cold one.
+    """
     manifest_path = os.path.join(in_dir, MANIFEST_NAME)
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
@@ -765,6 +696,14 @@ def load_dataset(in_dir) -> Dataset:
                            ("pois.tsv", parsed.poi_ids, poi_raw)):
         if len(ids) > len(raw):
             raise DataError(f"{events_path}: id {list(ids)[len(raw)]!r} is not in {name}")
+    idle = np.flatnonzero(np.bincount(parsed.records.user, minlength=len(user_raw)) == 0)
+    if idle.size:
+        raise DataError(f"{events_path}: user {user_raw[idle[0]]!r} of users.tsv has no events")
+    held = {"n_users": len(user_raw), "n_pois": len(poi_raw), "n_events": len(parsed.records)}
+    for key, count in held.items():
+        if key in manifest and manifest[key] != count:
+            raise DataError(f"{manifest_path}: {key} is {manifest[key]!r}, "
+                            f"but the directory holds {count}")
     meta = {}
     meta_path = os.path.join(in_dir, "meta.json")
     if os.path.exists(meta_path):

@@ -149,8 +149,9 @@ def _metrics_from_ranks(ranks: np.ndarray, ks) -> dict:
 class _UserSideRows:
     """User-side score rows for every test instance, raw and cross-user adjusted.
 
-    ``instances`` lists the test events as (user, test index, event) in that
-    order; ``walk`` yields each instance's index into it with the user's own
+    The instances are the test events, by user and then in test order:
+    ``users``, ``places`` (the truth) and ``times`` hold each one's user,
+    place and time.  ``walk`` yields each instance's index with the user's own
     row and, given a similarity matrix, the cross-user adjusted row.
 
     static: one row per user at the end of training history
@@ -172,61 +173,57 @@ class _UserSideRows:
                  mode: str = "stepwise"):
         self.corr_u = corr_u
         self.mode = mode
-        self.instances = [(u, k, e) for u in range(dataset.n_users)
-                          for k, e in enumerate(dataset.test[u])]
+        g, events = dataset.by_user, dataset.events
+        owner, rank, in_train = g.positions()
+        rows = g.order[~in_train]
+        self.users, self.places, self.times = owner[~in_train], events.poi[rows], events.t[rows]
         if mode == "static":
             self.static = net.predict_score_matrix(dataset)
             self.static_adj = (association.adjust_user_scores(corr_u, self.static)
                                if corr_u is not None else None)
             return
-        self.events = [dataset.train[u] + dataset.test[u] for u in range(dataset.n_users)]
-        self.train_len = [len(t) for t in dataset.train]
         # Own rows sit at the cut before each test event; cross-user rows can
         # sit at any cut, as another user's instance may follow any event.
-        if corr_u is None:
-            self.first_cut = self.train_len
-            cuts = [range(first, len(evs)) for first, evs in zip(self.first_cut, self.events)]
-        else:
-            self.first_cut = [0] * dataset.n_users
-            cuts = [range(len(evs) + 1) for evs in self.events]
-        self.cut_rows = [net.score_rows_at_cuts(evs, u, user_cuts)
-                         for u, (evs, user_cuts) in enumerate(zip(self.events, cuts))]
+        sizes = np.diff(g.offsets)
+        first, last = ((g.train_counts, sizes - 1) if corr_u is None
+                       else (np.zeros_like(sizes), sizes))
+        self.own_index = (rank[~in_train] - first[self.users]).tolist()
+        self.cut_rows = [net.score_rows_at_cuts(events.take(g.history(u, train_only=False)),
+                                                u, range(first[u], last[u] + 1))
+                         for u in range(dataset.n_users)]
+        # Every event as (time, user, cut after it), by user.
+        self.stream = events.t[g.order], owner, rank + 1
 
     def walk(self):
         """Yield (instance index, own row, adjusted row or None)."""
+        users = self.users.tolist()
         if self.mode == "static":
-            for i, (u, _, _) in enumerate(self.instances):
+            for i, u in enumerate(users):
                 yield i, self.static[u], (self.static_adj[u]
                                           if self.static_adj is not None else None)
             return
         if self.corr_u is None:
-            for i, (u, k, _) in enumerate(self.instances):
-                yield i, self._own_row(u, k), None
+            for i, (u, k) in enumerate(zip(users, self.own_index)):
+                yield i, self.cut_rows[u][k], None
             return
-        # Every event as (time, user, cut after it), in time order; a stable
-        # sort keeps each user's events in cut order among equal times.
-        times = np.array([e.t for evs in self.events for e in evs], dtype=np.int64)
-        users = np.repeat(np.arange(len(self.events)), [len(evs) for evs in self.events])
-        cuts = np.concatenate([np.arange(1, len(evs) + 1) for evs in self.events])
+        # The event stream in time order; a stable sort keeps each user's
+        # events in cut order among equal times.
+        times, owners, cuts = self.stream
         order = np.argsort(times, kind="stable")
-        times, users, cuts = times[order], users[order].tolist(), cuts[order].tolist()
-        inst_t = np.array([e.t for _, _, e in self.instances], dtype=np.int64)
-        inst_order = np.argsort(inst_t, kind="stable")
+        times, owners, cuts = times[order], owners[order].tolist(), cuts[order].tolist()
+        inst_order = np.argsort(self.times, kind="stable")
         # Events strictly before each instance, as a prefix of the stream.
-        visible = np.searchsorted(times, inst_t[inst_order], side="left").tolist()
+        visible = np.searchsorted(times, self.times[inst_order], side="left").tolist()
         current = np.stack([rows[0] for rows in self.cut_rows])
         applied = 0
         for i, upto in zip(inst_order.tolist(), visible):
-            for v, cut in zip(users[applied:upto], cuts[applied:upto]):
+            for v, cut in zip(owners[applied:upto], cuts[applied:upto]):
                 current[v] = self.cut_rows[v][cut]
             applied = upto
-            u, k, _ = self.instances[i]
+            u = users[i]
             vec = self.corr_u[u] @ current
             total = vec.sum()
-            yield i, self._own_row(u, k), (vec / total if total > 0 else vec)
-
-    def _own_row(self, user: int, test_index: int) -> np.ndarray:
-        return self.cut_rows[user][self.train_len[user] + test_index - self.first_cut[user]]
+            yield i, self.cut_rows[u][self.own_index[i]], (vec / total if total > 0 else vec)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -307,18 +304,17 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
         picks = [(WIRING[v].user_adj,
                   s_l_adj if WIRING[v].poi_adj else s_l if WIRING[v].poi_net else None)
                  for v in user_side]
-        instances = user_rows.instances
-        ranks = np.empty((len(user_side), len(instances)), dtype=np.int64)
+        owners, truths = user_rows.users.tolist(), user_rows.places.tolist()
+        ranks = np.empty((len(user_side), len(owners)), dtype=np.int64)
         for i, own, adjusted in user_rows.walk():
-            u, _, event = instances[i]
+            u = owners[i]
             for j, (user_adj, place_side) in enumerate(picks):
                 row = adjusted if user_adj else own
                 if place_side is not None:
                     row = _combine(row, place_side[:, u], fusion)
-                ranks[j, i] = rank_of_truth(row, event.poi)
+                ranks[j, i] = rank_of_truth(row, truths[i])
         train_sets = dataset.train_poi_sets()
-        unseen_mask = [event.poi not in train_sets[u] for u, _, event in instances]
-        owners = [u for u, _, _ in instances]
+        unseen_mask = [p not in train_sets[u] for u, p in zip(owners, truths)]
         for variant, variant_ranks in zip(user_side, ranks):
             results[variant] = _package(variant, fusion, ks, variant_ranks, unseen_mask, owners)
     return {v: results[v] for v in variants}
@@ -326,11 +322,13 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
 
 def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray,
                            fusion: FusionStrategy, ks) -> dict:
-    instances = [(p, e) for p in range(dataset.n_pois) for e in dataset.poi_test[p]]
-    train_visitors = [{e.user for e in evs} for evs in dataset.poi_train]
-    ranks = [rank_of_truth(s_l_adj[p], e.user) for p, e in instances]
-    unseen_mask = [e.user not in train_visitors[p] for p, e in instances]
-    return _package("poi_net_only", fusion, ks, ranks, unseen_mask, [p for p, _ in instances])
+    g, visitor = dataset.by_poi, dataset.events.user
+    owner, _, in_train = g.positions()
+    places, users = owner[~in_train].tolist(), visitor[g.order[~in_train]].tolist()
+    train_visitors = [set(visitor[g.history(p)].tolist()) for p in range(dataset.n_pois)]
+    ranks = [rank_of_truth(s_l_adj[p], u) for p, u in zip(places, users)]
+    unseen_mask = [u not in train_visitors[p] for p, u in zip(places, users)]
+    return _package("poi_net_only", fusion, ks, ranks, unseen_mask, places)
 
 
 def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
@@ -570,10 +568,12 @@ def case_report(dataset: Dataset, user_net: UserNet, poi_net: PoiNet,
         corr_u = association.user_similarity(dataset)
     if corr_l is None:
         corr_l = association.poi_similarity(dataset)
-    s_u_row = user_net.score_rows_at_cuts(dataset.train[user], user,
-                                          [len(dataset.train[user])])[0]
-    s_l_row = poi_net.score_rows_at_cuts(dataset.poi_train[poi], poi,
-                                         [len(dataset.poi_train[poi])])[0]
+    history = dataset.by_user.history(user)
+    s_u_row = user_net.score_rows_at_cuts(dataset.events.take(history), user,
+                                          [history.size])[0]
+    history = dataset.by_poi.history(poi)
+    s_l_row = poi_net.score_rows_at_cuts(dataset.events.take(history), poi,
+                                         [history.size])[0]
     top_pois = rank_top_k(s_u_row, k)
     top_users = rank_top_k(s_l_row, k)
     neighbor_u = rank_top_k(np.where(np.arange(dataset.n_users) == user, -np.inf, corr_u[user]), 1)[0]

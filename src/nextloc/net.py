@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataError, Dataset
+from .dataset import DataError, Dataset, Events
 
 #: Windows whose recall ``WindowNet.pack`` computes together, and cuts that
 #: ``WindowNet.score_rows_at_cuts`` scores together: the block bounds the size
@@ -54,23 +54,24 @@ class WindowNet:
     """Subclasses set ``target_field`` (the event field each step predicts),
     ``step_inputs`` ((event field, parameter name) of each table whose rows
     make up a step's input), ``context_input`` (the same for the row joined to
-    every step's state, read from a window's first event), ``window_pool``
-    (the Dataset attribute of their default training windows), ``history``
-    (the Dataset attribute of each context's training events) and
-    ``description`` (their name in errors).  They define ``named_parameters``
-    (``w_hidden``, ``w_input``, ``b_hidden``, ``w_out`` and ``b_out`` among
-    them) and the classmethod ``_from_checkpoint`` (a freshly initialised
-    network sized by a checkpoint's arrays).  To aggregate past states, a
-    subclass names the event fields it reads in ``recall_fields`` and defines
-    ``_recall(last, *columns)``: from (..., K) columns of those fields, the
-    (..., R, K) weights over K steps' states seen from each step in ``last``
-    (R,).  Without them, each row uses the current state alone."""
+    every step's state, read from a window's first event), ``grouping`` (the
+    Dataset grouping, ``by_user`` or ``by_poi``, whose owners are their
+    contexts: it holds each context's training history and their default
+    training windows) and ``description`` (their name in errors).  They define
+    ``named_parameters`` (``w_hidden``, ``w_input``, ``b_hidden``, ``w_out``
+    and ``b_out`` among them) and the classmethod ``_from_checkpoint`` (a
+    freshly initialised network sized by a checkpoint's arrays).  To aggregate
+    past states, a subclass names the event fields it reads in
+    ``recall_fields`` and defines ``_recall(last, *columns)``: from (..., K)
+    columns of those fields, the (..., R, K) weights over K steps' states seen
+    from each step in ``last`` (R,).  Without them, each row uses the current
+    state alone.  Events reach a network as lists of NamedTuple records or as
+    ``dataset.Events`` columns."""
 
     target_field: str
     step_inputs: tuple[tuple[str, str], ...]
     context_input: tuple[str, str]
-    window_pool: str
-    history: str
+    grouping: str
     description: str
     recall_fields: tuple[str, ...] = ()
 
@@ -114,18 +115,28 @@ class WindowNet:
 
     # -- forward -------------------------------------------------------------
 
-    def pack(self, windows: list[list]) -> WindowBatch:
-        """Pad windows of any lengths into one batch of index arrays."""
-        lengths = np.array([len(w) for w in windows])
-        if lengths.size == 0 or lengths.min() < 2:
+    def pack(self, windows) -> WindowBatch:
+        """Pad windows of any lengths into one batch of index arrays.
+
+        ``windows`` is a list of event lists, or ``(events, rows, lengths)``
+        as ``Dataset.windows`` gives them: Events columns, the rows of every
+        window's events in turn, and each window's length.
+        """
+        if isinstance(windows, tuple):
+            events, rows, lengths = windows
+        else:
+            lengths = np.array([len(w) for w in windows])
+            events = Events.of([e for w in windows for e in w])
+            rows = np.arange(len(events))
+        if lengths.size == 0:
+            raise ValueError("no training windows")
+        if lengths.min() < 2:
             raise ValueError("window must contain an input step and a target")
-        events = np.array([e for w in windows for e in w], dtype=np.float64)
         filled = np.arange(lengths.max()) < lengths[:, None]
-        fields = type(windows[0][0])._fields
 
         def column(field, dtype=np.intp):
             out = np.zeros(filled.shape, dtype=dtype)
-            out[filled] = events[:, fields.index(field)]
+            out[filled] = getattr(events, field)[rows]
             return out
 
         recall = None
@@ -135,7 +146,7 @@ class WindowNet:
             columns = [column(field, np.float64)[:, :-1] for field in self.recall_fields]
             steps = np.arange(filled.shape[1] - 1)
             recall = np.concatenate([self._recall(steps, *(c[s:s + CUT_BLOCK] for c in columns))
-                                     for s in range(0, len(windows), CUT_BLOCK)])
+                                     for s in range(0, lengths.size, CUT_BLOCK)])
         return WindowBatch(
             steps=tuple(column(field)[:, :-1] for field, _ in self.step_inputs),
             context=column(self.context_input[0])[:, 0],
@@ -158,17 +169,17 @@ class WindowNet:
             "recall": batch.recall,
         }
 
-    def window_loss(self, windows: list[list] | WindowBatch,
+    def window_loss(self, windows: list[list] | tuple | WindowBatch,
                     tape: ad.Tape | None = None) -> ad.Tensor:
         """Mean cross-entropy of each step's next target over windows of any
-        lengths (a list, or a batch from ``pack``): one tape node."""
+        lengths (as ``pack`` takes them, or a batch from it): one tape node."""
         batch = windows if isinstance(windows, WindowBatch) else self.pack(windows)
         return ad.recurrent_window_loss(targets=batch.targets, tape=tape,
                                         **self._op_inputs(batch))
 
     # -- prediction ----------------------------------------------------------
 
-    def score_rows_at_cuts(self, events: list, context: int, cuts) -> np.ndarray:
+    def score_rows_at_cuts(self, events: list | Events, context: int, cuts) -> np.ndarray:
         """Probability rows of the next target after prefixes of ``events``.
 
         Cut c means "the first c events have happened"; the row predicts the
@@ -191,14 +202,10 @@ class WindowNet:
         order = order[cuts[order] > 0]
         if order.size == 0:
             return rows
-        table = np.array(events, dtype=np.float64)
-        fields = type(events[0])._fields
-
-        def column(field):
-            return table[:, fields.index(field)]
-
-        inputs = [(params[name], column(field).astype(np.intp)[None])
+        events = Events.of(events)
+        inputs = [(params[name], getattr(events, field).astype(np.intp)[None])
                   for field, name in self.step_inputs]
+        recall_columns = [getattr(events, f).astype(np.float64) for f in self.recall_fields]
         states = ad.recurrent_states(inputs, self._cell())[1][0]
         ctx = params[self.context_input[1]].values[context]
         for start in range(0, order.size, CUT_BLOCK):
@@ -206,7 +213,7 @@ class WindowNet:
             last = cuts[idx] - 1
             if self.recall_fields:
                 width = int(last[-1]) + 1
-                recall = self._recall(last, *(column(f)[:width] for f in self.recall_fields))
+                recall = self._recall(last, *(c[:width] for c in recall_columns))
                 agg = recall @ states[:width]
             else:
                 agg = states[last]
@@ -219,10 +226,11 @@ class WindowNet:
         """Row-stochastic scores of each context after its whole training
         history.  A context without one (a cold place) gets a uniform row; the
         cross-side adjustment later blends in rows of similar contexts."""
-        histories = getattr(dataset, self.history)
-        scores = np.empty((len(histories), self.w_out.shape[1]))
-        for c, events in enumerate(histories):
-            scores[c] = self.score_rows_at_cuts(events, c, [len(events)])[0]
+        grouping = getattr(dataset, self.grouping)
+        scores = np.empty((grouping.train_counts.size, self.w_out.shape[1]))
+        for c in range(len(scores)):
+            rows = grouping.history(c)
+            scores[c] = self.score_rows_at_cuts(dataset.events.take(rows), c, [rows.size])[0]
         return scores
 
     # -- training ------------------------------------------------------------
@@ -232,16 +240,15 @@ class WindowNet:
               windows: list[list] | None = None) -> list[float]:
         """Fit on the training windows; returns the per-epoch loss log.
 
-        The pool is packed once.  Default is one full-batch step per epoch;
-        with batch_size set, windows are reshuffled each epoch from the seed.
+        The pool (the grouping's windows unless ``windows`` is given) is
+        packed once.  Default is one full-batch step per epoch; with
+        batch_size set, windows are reshuffled each epoch from the seed.
         Each step's loss is the mean over its chunk's predicted rows.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-        pool = list(getattr(dataset, self.window_pool) if windows is None else windows)
-        if not pool:
-            raise ValueError("no training windows")
-        packed = self.pack(pool)
+        packed = self.pack(dataset.windows(self.grouping) if windows is None else windows)
+        n_windows = packed.context.size
         opt = ad.make_optimizer(optimizer, self.parameters(), lr)
         rng = np.random.default_rng(seed)
         log: list[float] = []
@@ -249,9 +256,9 @@ class WindowNet:
             if batch_size is None:
                 chunks = [packed]
             else:
-                order = rng.permutation(len(pool))
+                order = rng.permutation(n_windows)
                 chunks = (packed.take(order[s:s + batch_size])
-                          for s in range(0, len(pool), batch_size))
+                          for s in range(0, n_windows, batch_size))
             epoch_loss = 0.0
             epoch_rows = 0
             for chunk in chunks:

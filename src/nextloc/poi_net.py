@@ -19,8 +19,7 @@ class PoiNet(WindowNet):
     step_inputs = (("user", "user_embeddings"), ("slot", "slot_embeddings"),
                    ("weekday", "weekday_embeddings"))
     context_input = ("poi", "poi_embeddings")
-    window_pool = "poi_windows"
-    history = "poi_train"
+    grouping = "by_poi"
     description = "next-visitor network"
 
     def __init__(self, n_users: int, n_pois: int, n_slots: int = 24, dim: int = 10,

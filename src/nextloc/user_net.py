@@ -53,8 +53,7 @@ class UserNet(WindowNet):
     target_field = "poi"
     step_inputs = (("poi", "poi_embeddings"),)
     context_input = ("user", "user_embeddings")
-    window_pool = "user_windows"
-    history = "train"
+    grouping = "by_user"
     description = "next-place network"
     recall_fields = ("t", "lat", "lon")
 

@@ -173,6 +173,12 @@ def _add_events(directory, field, raw_id):
             f.write("\t".join(fields) + "\n")
 
 
+def _drop_user_events(directory, raw_id):
+    path = directory / "events.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if line.split("\t")[0] != raw_id))
+
+
 BROKEN_DATASETS = {
     "invalid_manifest": lambda d: (d / "manifest.json").write_text("{not json"),
     "no_split_ratio": lambda d: _rewrite_manifest(d, split_ratio=None),
@@ -182,6 +188,10 @@ BROKEN_DATASETS = {
         (d / "users.tsv").read_text().replace("\t", " ", 1)),
     "event_of_unknown_user": lambda d: _add_events(d, "user", "ghost"),
     "event_at_unknown_place": lambda d: _add_events(d, "poi", "nowhere"),
+    "last_user_without_events": lambda d: _drop_user_events(d, "u009"),
+    "manifest_n_users_differs": lambda d: _rewrite_manifest(d, n_users=11),
+    "manifest_n_pois_differs": lambda d: _rewrite_manifest(d, n_pois=19),
+    "manifest_n_events_differs": lambda d: _rewrite_manifest(d, n_events=1),
 }
 
 
@@ -194,6 +204,20 @@ class TestBrokenDatasetDirectory:
         assert cli.main(["stats", "--data", str(broken),
                          "--out", str(tmp_path / "stats")]) == cli.EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("last_user_without_events", "user 'u009' of users.tsv has no events"),
+        ("manifest_n_users_differs", "n_users is 11, but the directory holds 10"),
+        ("manifest_n_pois_differs", "n_pois is 19, but the directory holds 20"),
+        ("manifest_n_events_differs", "n_events is 1, but the directory holds 800"),
+    ])
+    def test_parts_that_disagree_are_named(self, data_dir, tmp_path, capsys, case, message):
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        BROKEN_DATASETS[case](broken)
+        assert cli.main(["train", "--data", str(broken), "--net", "user", "--epochs", "1",
+                         "--out", str(tmp_path / "m")]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 class TestTrain:
@@ -249,6 +273,18 @@ class TestTrain:
                          "--out", str(out)]) == cli.EXIT_USAGE
         assert f"batch_size must be at least 1, got {batch_size}" in capsys.readouterr().err
         assert not (out / f"{net}_net.ckpt").exists()
+
+    @pytest.mark.parametrize("net", ["user", "poi"])
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_batch_size_below_one_is_usage_error_at_zero_epochs(self, data_dir, tmp_path,
+                                                                capsys, net, batch_size):
+        out = tmp_path / "m"
+        assert cli.main(["train", "--data", str(data_dir), "--net", net, "--epochs", "0",
+                         "--dim", "4", "--batch-size", batch_size,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"batch_size must be at least 1, got {batch_size}" in capsys.readouterr().err
+        assert not (out / f"{net}_net.ckpt").exists()
+        assert not (out / "run.json").exists()
 
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
         out = tmp_path / "init"

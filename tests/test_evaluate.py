@@ -301,9 +301,9 @@ class TestTimeOrderedPass:
         rows = _UserSideRows(ds, user_net, corr_u, "stepwise")
         differs_from_inclusive = False
         for i, _, adjusted in rows.walk():
-            u, _, event = rows.instances[i]
+            u, t = rows.users[i], rows.times[i]
             for visible in (bisect_left, bisect_right):
-                matrix = np.stack([cut_rows[v][visible(times[v], event.t)]
+                matrix = np.stack([cut_rows[v][visible(times[v], t)]
                                    for v in range(ds.n_users)])
                 want = corr_u[u] @ matrix
                 want = want / want.sum()

@@ -13,6 +13,16 @@ NETS = {
     "PoiNet": lambda ds: PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots, dim=4,
                                 slot_dim=2, seed=3),
 }
+# Record views of each net's training windows and context histories.
+VIEWS = {"by_user": ("user_windows", "train"), "by_poi": ("poi_windows", "poi_train")}
+
+
+def window_pool(ds, net):
+    return getattr(ds, VIEWS[net.grouping][0])
+
+
+def histories(ds, net):
+    return getattr(ds, VIEWS[net.grouping][1])
 
 
 def backward_by_length_groups(net, windows):
@@ -54,7 +64,7 @@ def hand_train(net, pool, epochs, seed, lr, batch_size):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_mini_batch_train_matches_hand_loop(small_dataset, kind):
     trained, by_hand = NETS[kind](small_dataset), NETS[kind](small_dataset)
-    pool = getattr(small_dataset, trained.window_pool)
+    pool = window_pool(small_dataset, trained)
     assert len({len(w) for w in pool}) > 1     # the row weighting is exercised
     log = trained.train(small_dataset, epochs=3, seed=5, lr=0.01, batch_size=7)
     hand_log = hand_train(by_hand, list(pool), epochs=3, seed=5, lr=0.01, batch_size=7)
@@ -85,7 +95,7 @@ def mixed_windows(pool, count=3):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_gradient_check_on_mixed_length_windows(small_dataset, kind):
     net = NETS[kind](small_dataset)
-    windows = mixed_windows(getattr(small_dataset, net.window_pool))
+    windows = mixed_windows(window_pool(small_dataset, net))
     # A step of 1e-4 keeps round-off in the differences of gradients near
     # 1e-5 below the bound; the truncation error it adds is about 1e-8.
     err = ad.gradient_check(lambda tape: net.window_loss(windows, tape), net.parameters(),
@@ -96,7 +106,7 @@ def test_gradient_check_on_mixed_length_windows(small_dataset, kind):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_mixed_chunk_equals_row_weighted_length_groups(small_dataset, kind):
     net = NETS[kind](small_dataset)
-    pool = getattr(small_dataset, net.window_pool)
+    pool = window_pool(small_dataset, net)
     windows = mixed_windows(pool, count=4) + [pool[0], pool[-1]]
     tape = ad.Tape()
     loss = net.window_loss(windows, tape)
@@ -115,7 +125,7 @@ def test_window_loss_is_cross_entropy_of_prediction_rows(small_dataset, kind):
     """Training scores a window as prediction scores its prefixes: the loss is
     the mean -log of score_rows_at_cuts' row at each step's target."""
     net = NETS[kind](small_dataset)
-    pool = getattr(small_dataset, net.window_pool)
+    pool = window_pool(small_dataset, net)
     for window in (max(pool, key=len), pool[-1]):    # the last of another context
         context = getattr(window[0], net.context_input[0])
         rows = net.score_rows_at_cuts(window, context, range(1, len(window)))
@@ -127,7 +137,7 @@ def test_window_loss_is_cross_entropy_of_prediction_rows(small_dataset, kind):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_ids_beyond_the_tables_are_rejected(small_dataset, kind):
     net = NETS[kind](small_dataset)
-    window = getattr(small_dataset, net.window_pool)[0]
+    window = window_pool(small_dataset, net)[0]
     for field in {net.context_input[0], net.target_field}:
         bad = [e._replace(**{field: 10_000}) for e in window]
         with pytest.raises(ValueError, match="out of range"):
@@ -137,7 +147,7 @@ def test_ids_beyond_the_tables_are_rejected(small_dataset, kind):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_context_id_outside_the_table_is_rejected(small_dataset, kind):
     net = NETS[kind](small_dataset)
-    histories = getattr(small_dataset, net.history)
-    for context in (-1, len(histories)):
+    history = histories(small_dataset, net)
+    for context in (-1, len(history)):
         with pytest.raises(ValueError, match="context"):
-            net.score_rows_at_cuts(histories[0], context, [len(histories[0])])
+            net.score_rows_at_cuts(history[0], context, [len(history[0])])

@@ -1,0 +1,241 @@
+"""Array code against the per-item code it replaced, kept here as oracles:
+the check-in parser and writer, and ``association.truncate_top_k``."""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nextloc.association import truncate_top_k
+from nextloc.data import (FORMATS, CheckIn, DataError, format_timestamp, load_dataset,
+                          parse_checkin_file, parse_timestamp, save_dataset,
+                          write_checkin_file)
+
+
+# -- the per-line parser and the per-record writer ---------------------------------
+
+def line_parser(path, fmt="gowalla", user_ids=None, poi_ids=None):
+    """``parse_checkin_file`` one line at a time: (records, user ids, place
+    ids, malformed, total lines)."""
+    columns = FORMATS[fmt]
+    users = dict(user_ids) if user_ids else {}
+    pois = dict(poi_ids) if poi_ids else {}
+    records, malformed, total = [], 0, 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                total += 1
+                fields = line.split("\t")
+                if len(fields) != 5:
+                    malformed += 1
+                    continue
+                row = dict(zip(columns, fields))
+                try:
+                    t = parse_timestamp(row["time"])
+                    lat = float(row["lat"])
+                    lon = float(row["lon"])
+                except ValueError:
+                    malformed += 1
+                    continue
+                if not (t > 0 and -90.0 <= lat <= 90.0 and -180.0 < lon <= 180.0):
+                    malformed += 1
+                    continue
+                records.append(CheckIn(users.setdefault(row["user"], len(users)), t, lat, lon,
+                                       pois.setdefault(row["poi"], len(pois))))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    if total and malformed * 100 > total:
+        raise DataError(f"{path}: {malformed}/{total} malformed lines (>1%); wrong --format?")
+    if not records:
+        raise DataError(f"{path}: no usable check-in records")
+    return records, list(users.items()), list(pois.items()), malformed, total
+
+
+def record_writer(path, records, user_raw, poi_raw, fmt="gowalla"):
+    """``write_checkin_file`` one record at a time."""
+    with open(path, "w", encoding="utf-8") as f:
+        for r in records:
+            row = {"user": user_raw[r.user], "poi": poi_raw[r.poi],
+                   "time": format_timestamp(r.t), "lat": repr(r.lat), "lon": repr(r.lon)}
+            f.write("\t".join(row[c] for c in FORMATS[fmt]) + "\n")
+
+
+# -- parser --------------------------------------------------------------------------
+
+TIME_SAMPLES = [
+        "2010-01-01T08:00:00+02:00", "2010-01-01T08:00:00-11:30", "2010-01-01T08:00:00",
+        "2010-01-01T08:00:00.5Z", "2010-01-01T08:00:00.999999Z", "2010-01-01",
+        "2010-02-30T00:00:00Z", "2011-02-29T12:00:00Z", "2012-02-29T23:59:59Z",
+        "2000-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "1970-01-01T00:00:00Z",
+        "1970-01-01T00:00:01Z", "9999-12-31T23:59:59Z", "9999-12-31T23:59:59-01:00",
+        "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "2010-01-01T24:00:00Z",
+        "2010-13-01T00:00:00Z", "2010-00-10T00:00:00Z", "2010-01-00T00:00:00Z",
+        "2010-01-01T08:60:00Z", "2010-01-01T08:00:60Z", "2010-01-01 08:00:00Z",
+        "2010-01-01T08:00Z", "20100101T080000Z", "2010-01-01T08:00:00z",
+        "2010-01-01T08:00:00ZZ", "2010-01-01T08:00:00Z\x00", "201O-01-01T08:00:00Z",
+    "２010-01-01T08:00:00Z", " 2010-01-01T08:00:00Z", "not-a-time", ""]
+FLOAT_SAMPLES = ["40.0", " 40.0", "40.0 ", "1_0", "nan", "inf", "-inf", "1e1", "+5", "-0.0",
+                 "90", "90.0000001", "-90", "-180", "180", "180.0", "1e999", "٣", "0x10",
+                 "4 0", "", "east"]
+TIMES = st.one_of(st.integers(-10**10, 253402300799).map(format_timestamp),
+                  st.sampled_from(TIME_SAMPLES), st.text(max_size=22))
+FLOATS = st.one_of(st.floats(-200, 200).map(repr), st.sampled_from(FLOAT_SAMPLES),
+                   st.text(max_size=8))
+IDS = st.one_of(st.sampled_from(["u1", "u2", "p1", "p2", " u1", "ü", "a b", ""]),
+                st.text(max_size=4))
+FIELDS = {"user": IDS, "poi": IDS, "time": TIMES, "lat": FLOATS, "lon": FLOATS}
+
+
+def valid_lines(columns, n=150):
+    good = [dict(user=f"u{i % 7}", poi=f"p{i % 5}", lat=repr(40.0 + i / 1000), lon="-75.0",
+                 time=format_timestamp(1_262_304_000 + 3600 * i)) for i in range(n)]
+    return ["\t".join(g[c] for c in columns) for g in good]
+
+
+@st.composite
+def checkin_files(draw):
+    """(bytes of a check-in file, its format): a mix of valid and broken lines,
+    with or without a block of valid lines that keeps a few broken ones under
+    the 1% threshold, and now and then bytes that are not UTF-8."""
+    fmt = draw(st.sampled_from(sorted(FORMATS)))
+    columns = FORMATS[fmt]
+    line = st.one_of(
+        st.tuples(*(FIELDS[c] for c in columns)).map("\t".join),
+        st.lists(st.one_of(IDS, TIMES, FLOATS), max_size=7).map("\t".join),
+        st.just(""))
+    lines = draw(st.lists(line, max_size=6))
+    if draw(st.booleans()):
+        base = valid_lines(columns)
+        at = draw(st.integers(0, len(base)))
+        lines = base[:at] + lines + base[at:]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = newline.join(lines).encode("utf-8", "surrogatepass")
+    if draw(st.booleans()):
+        data += newline.encode()
+    if draw(st.integers(0, 9)) == 5:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data, fmt
+
+
+def outcome(parse, path, fmt, preassigned):
+    ids = ({"user_ids": {"u2": 0, "a b": 1}, "poi_ids": {"p2": 0}} if preassigned else {})
+    try:
+        result = parse(path, fmt, **ids)
+    except DataError as exc:
+        message = str(exc)
+        # The decoder's byte offset depends on how much text it was given.
+        return "error", message.split(": not UTF-8")[0] if "not UTF-8" in message else message
+    if isinstance(result, tuple):
+        return result
+    return (list(result.records), list(result.user_ids.items()),
+            list(result.poi_ids.items()), result.malformed, result.total_lines)
+
+
+@pytest.fixture(scope="module")
+def raw_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle") / "raw.tsv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkin_files(), st.booleans())
+def test_parser_matches_the_line_parser(raw_path, file, preassigned):
+    data, fmt = file
+    raw_path.write_bytes(data)
+    assert (outcome(parse_checkin_file, raw_path, fmt, preassigned)
+            == outcome(line_parser, raw_path, fmt, preassigned))
+
+
+@pytest.mark.parametrize("field, text", [("time", t) for t in TIME_SAMPLES]
+                         + [(f, x) for f in ("lat", "lon") for x in FLOAT_SAMPLES])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_parser_matches_the_line_parser_on_each_sample(tmp_path, fmt, field, text):
+    """One unusual field among valid lines, so that its verdict decides the count."""
+    row = dict(user="u1", poi="p1", lat="40.0", lon="-75.0", time="2010-01-01T08:00:00Z")
+    row[field] = text
+    path = tmp_path / "raw.tsv"
+    lines = valid_lines(FORMATS[fmt])
+    path.write_text("\n".join(lines[:70] + ["\t".join(row[c] for c in FORMATS[fmt])]
+                              + lines[70:]), encoding="utf-8")
+    assert outcome(parse_checkin_file, path, fmt, False) == outcome(line_parser, path, fmt, False)
+
+
+def test_parser_reads_files_larger_than_one_block(tmp_path):
+    """Ids stay first-seen across the reader's blocks of lines."""
+    path = tmp_path / "raw.tsv"
+    lines = [f"u{i % 13}\t{format_timestamp(1_262_304_000 + 60 * i)}\t{40 + i / 1e5!r}"
+             f"\t-75.0\tp{(7 * i) % 31}" for i in range(20_000)]
+    path.write_text("\n".join(lines[:9_000] + ["broken"] + lines[9_000:]) + "\n")
+    assert outcome(parse_checkin_file, path, "gowalla", False) == outcome(
+        line_parser, path, "gowalla", False)
+
+
+# -- writer --------------------------------------------------------------------------
+
+RAW_IDS = ["u 1", "café", "北京", "p#2", "x"]
+WRITER_TIMES = st.one_of(
+    st.integers(-30610224000, 253402300799),
+    st.sampled_from([0, 86400 * 10957,                      # midnights: 1970, 2000-01-01
+                     951782400, 1330473599, 1330516800,     # 2000-02-29, around 2012-02-29
+                     2**31 - 1, 2**31, 2**32 + 17,          # around and after 2038
+                     253402300799]))
+COORDINATES = st.one_of(st.floats(-180, 180),
+                        st.sampled_from([0.1 + 0.2, -0.0, 5e-324, -89.99999999999999,
+                                         1 / 3, -179.12345678901234, 1e-05, 1e16]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(RAW_IDS) - 1), WRITER_TIMES, COORDINATES,
+                          COORDINATES, st.integers(0, len(RAW_IDS) - 1)), max_size=30),
+       st.sampled_from(sorted(FORMATS)))
+def test_writer_matches_the_record_writer(raw_path, rows, fmt):
+    records = [CheckIn(*row) for row in rows]
+    record_writer(raw_path, records, RAW_IDS, RAW_IDS[::-1], fmt)
+    want = raw_path.read_bytes()
+    write_checkin_file(raw_path, records, RAW_IDS, RAW_IDS[::-1], fmt)
+    assert raw_path.read_bytes() == want
+
+
+def test_writer_refuses_years_it_cannot_spell(tmp_path):
+    for t in (-30610224001, 253402300800):
+        with pytest.raises(DataError, match="years 1000 to 9999"):
+            write_checkin_file(tmp_path / "x.tsv", [CheckIn(0, t, 0.0, 0.0, 0)], ["u"], ["p"])
+
+
+def test_save_load_save_is_byte_identical(tmp_path, small_dataset):
+    save_dataset(small_dataset, tmp_path / "a")
+    save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# -- truncate_top_k ------------------------------------------------------------------
+
+def truncate_by_rows(corr, k):
+    """``truncate_top_k`` one row at a time."""
+    out = np.zeros_like(corr)
+    for i in range(corr.shape[0]):
+        row = corr[i].copy()
+        row[i] = -np.inf
+        keep = np.argsort(-row, kind="stable")[:k]
+        out[i, keep] = corr[i, keep]
+        out[i, i] = corr[i, i]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_truncate_top_k_matches_the_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    corr = rng.integers(0, 3, (15, 15)) / 2.0      # values 0, 0.5 and 1: ties everywhere
+    corr[rng.random(corr.shape) < 0.1] = -0.0
+    corr[3] = 0.5
+    corr[:, 7] = 1.0
+    for k in range(17):
+        assert truncate_top_k(corr, k).tobytes() == truncate_by_rows(corr, k).tobytes()
