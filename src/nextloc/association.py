@@ -7,6 +7,9 @@ which some user visited both places, scaled into [0,1].  Multiplying a score
 matrix by its similarity matrix lets every row borrow from the rows of its
 look-alikes, which is what rescues predictions that the per-entity model alone
 cannot make (new-to-this-user places, cold places).
+
+Every count of who shares what comes from one primitive, ``member_pairs``,
+over the training events' columns.
 """
 
 from __future__ import annotations
@@ -18,6 +21,49 @@ import numpy as np
 from .dataset import DataError, Dataset, day_index
 
 
+def member_pairs(group: np.ndarray, member: np.ndarray, n_members: int):
+    """Every ordered pair of members (ids below ``n_members``) that share a
+    group, once per group and each member paired with itself too: the
+    group, and the pair as ``left * n_members + right``.  A member that
+    recurs in a group counts once."""
+    group, member = np.divmod(np.unique(group * n_members + member), n_members)
+    _, starts, sizes = np.unique(group, return_index=True, return_counts=True)
+    # Each member once per member of its group, pairing with them in turn.
+    fan = np.repeat(sizes, sizes)
+    offset = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+    right = member[np.repeat(np.repeat(starts, sizes), fan) + offset]
+    return np.repeat(group, fan), np.repeat(member, fan) * n_members + right
+
+
+def _training_columns(dataset: Dataset):
+    """User, place and calendar day of every training event."""
+    g, events = dataset.by_user, dataset.events
+    rows = g.order[g.positions()[2]]
+    return events.user[rows], events.poi[rows], day_index(events.t[rows])
+
+
+def shared_places(dataset: Dataset, same_day: bool = False) -> np.ndarray:
+    """Users x users: the distinct training places (with same_day, (place,
+    day) pairs) both users visited."""
+    user, poi, day = _training_columns(dataset)
+    n = dataset.n_users
+    _, pair = member_pairs(day * dataset.n_pois + poi if same_day else poi, user, n)
+    return np.bincount(pair, minlength=n * n).reshape(n, n)
+
+
+def shared_visitors(dataset: Dataset) -> np.ndarray:
+    """Places x places: the distinct training users who visited both."""
+    user, poi, _ = _training_columns(dataset)
+    n = dataset.n_pois
+    return np.bincount(member_pairs(user, poi, n)[1], minlength=n * n).reshape(n, n)
+
+
+def seen_in_training(dataset: Dataset, users, places) -> np.ndarray:
+    """Whether each (user, place) pair occurs among the training events."""
+    user, poi, _ = _training_columns(dataset)
+    return np.isin(users * dataset.n_pois + places, user * dataset.n_pois + poi)
+
+
 def user_similarity(dataset: Dataset, same_day: bool = False,
                     top_k: int | None = None) -> np.ndarray:
     """Asymmetric place-set overlap between users, diagonal forced to 1.
@@ -26,19 +72,10 @@ def user_similarity(dataset: Dataset, same_day: bool = False,
     events.  With same_day=True the overlap is counted over (place, day)
     pairs instead — a stricter variant for sensitivity checks.
     """
-    if same_day:
-        events = dataset.events
-        sets = [set(zip(events.poi[rows].tolist(), day_index(events.t[rows]).tolist()))
-                for rows in map(dataset.by_user.history, range(dataset.n_users))]
-    else:
-        sets = dataset.train_poi_sets()
-    m_users = dataset.n_users
-    corr = np.zeros((m_users, m_users))
-    for m in range(m_users):
-        if sets[m]:
-            for n in range(m_users):
-                corr[m, n] = len(sets[m] & sets[n]) / len(sets[m])
-        corr[m, m] = 1.0
+    common = shared_places(dataset, same_day)
+    own = np.diagonal(common)[:, None]
+    corr = np.divide(common, own, out=np.zeros(common.shape), where=own > 0)
+    np.fill_diagonal(corr, 1.0)
     if top_k is not None:
         corr = truncate_top_k(corr, top_k)
     return corr
@@ -56,22 +93,14 @@ def poi_similarity(dataset: Dataset, normalize: str = "global",
     """
     if normalize not in ("global", "row"):
         raise ValueError(f"unknown normalization {normalize!r}")
-    n_pois = dataset.n_pois
-    g, events = dataset.by_user, dataset.events
-    train = g.order[g.positions()[2]]
-    visits_by_user_day: dict[tuple[int, int], set[int]] = {}
-    for key in zip(events.user[train].tolist(), day_index(events.t[train]).tolist(),
-                   events.poi[train].tolist()):
-        visits_by_user_day.setdefault(key[:2], set()).add(key[2])
-    pair_days: dict[tuple[int, int], set[int]] = {}
-    for (_, day), pois in visits_by_user_day.items():
-        members = sorted(pois)
-        for i, m in enumerate(members):
-            for n in members[i + 1:]:
-                pair_days.setdefault((m, n), set()).add(day)
-    raw = np.zeros((n_pois, n_pois))
-    for (m, n), days in pair_days.items():
-        raw[m, n] = raw[n, m] = len(days)
+    n_pois, n_users = dataset.n_pois, dataset.n_users
+    user, poi, day = _training_columns(dataset)
+    # Pairs of places one user visited on one day; several users on the
+    # same day count that day once.
+    group, pair = member_pairs(day * n_users + user, poi, n_pois)
+    pair = np.unique(group // n_users * n_pois**2 + pair) % n_pois**2
+    raw = np.bincount(pair, minlength=n_pois**2).reshape(n_pois, n_pois).astype(float)
+    np.fill_diagonal(raw, 0.0)
 
     if normalize == "global":
         top = raw.max()

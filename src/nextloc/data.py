@@ -21,7 +21,8 @@ import numpy as np
 # The in-memory dataset, re-exported: the data layer's public names stay here.
 from .dataset import (_EPOCH_WEEKDAY_OFFSET, SECONDS_PER_DAY, CheckIn,  # noqa: F401
                       DataError, Dataset, Events, VisitEvent, build_dataset,
-                      day_index, discretize_time, make_windows, split_point)
+                      check_settings, day_index, discretize_time, make_windows,
+                      split_point)
 
 # Column orders of the supported raw formats.  Both use tab-separated lines
 # with ISO-8601 UTC timestamps; they differ only in where the POI id sits.
@@ -650,20 +651,12 @@ def _manifest_settings(manifest, path) -> tuple[str, float, int, int]:
         raise DataError(f"{path}: missing {', '.join(missing)}")
     fmt, ratio = manifest.get("format", "gowalla"), manifest["split_ratio"]
     window, slots = manifest["window"], manifest["slots"]
-
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    checks = [
-        (isinstance(fmt, str) and fmt in FORMATS, f"format must be one of {sorted(FORMATS)}"),
-        ((is_int(ratio) or isinstance(ratio, float)) and 0.0 < ratio <= 1.0,
-         "split_ratio must be a number in (0, 1]"),
-        (is_int(window) and window >= 2, "window must be an integer >= 2"),
-        (is_int(slots) and slots >= 1, "slots must be an integer >= 1"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise DataError(f"{path}: {msg}")
+    if not (isinstance(fmt, str) and fmt in FORMATS):
+        raise DataError(f"{path}: format must be one of {sorted(FORMATS)}")
+    try:
+        check_settings(ratio, window, slots)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return fmt, ratio, window, slots
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +104,23 @@ class Events:
         return NotImplemented
 
     __hash__ = None
+
+
+def check_settings(split_ratio, window, slots) -> None:
+    """Raise ValueError unless the split ratio is a number in (0, 1], the
+    window an integer >= 2 and the slot count an integer >= 1."""
+    def is_int(v):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+    checks = [
+        ("split_ratio", split_ratio, "a number in (0, 1]",
+         (is_int(split_ratio) or isinstance(split_ratio, float)) and 0.0 < split_ratio <= 1.0),
+        ("window", window, "an integer >= 2", is_int(window) and window >= 2),
+        ("slots", slots, "an integer >= 1", is_int(slots) and slots >= 1),
+    ]
+    for name, value, rule, ok in checks:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def split_point(n_events, ratio: float):
@@ -203,11 +221,6 @@ class Dataset:
     def cold_pois(self) -> list[int]:
         return np.flatnonzero(self.by_poi.train_counts == 0).tolist()
 
-    def train_poi_sets(self) -> list[set[int]]:
-        """Distinct POIs each user visits in the training split."""
-        return [set(self.events.poi[self.by_user.history(u)].tolist())
-                for u in range(self.n_users)]
-
     # -- read-only record views, built on first use ----------------------------
 
     @functools.cached_property
@@ -247,13 +260,12 @@ def build_dataset(records, split_ratio: float = 0.8,
     Raw id lists, when given, name every user and place; otherwise the
     largest id seen sets each count.
     """
+    check_settings(split_ratio, window, slots)
     given = Events.of(records)
     if not len(given):
         raise DataError("no records to build a dataset from")
     if min(given.user.min(), given.poi.min()) < 0:
         raise DataError("user and POI ids must be non-negative")
-    if window < 2:
-        raise ValueError(f"window must be at least 2, got {window}")
     events = given.take(np.lexsort((given.poi, given.user, given.t)))
     user, poi = events.user, events.poi
     n_users = len(user_raw) if user_raw else int(user.max()) + 1

@@ -229,11 +229,15 @@ class _UserSideRows:
 # -- evaluation ---------------------------------------------------------------
 
 def check_fits(dataset: Dataset, net: UserNet | PoiNet) -> None:
-    """Refuse a network sized for another dataset's users or places."""
+    """Refuse a network sized for another dataset's users, places or (for
+    the place-side network) time slots."""
     if (net.n_users, net.n_pois) != (dataset.n_users, dataset.n_pois):
         raise DataError(f"{type(net).__name__} was built for {net.n_users} users and "
                         f"{net.n_pois} places; the dataset has {dataset.n_users} users "
                         f"and {dataset.n_pois} places")
+    if isinstance(net, PoiNet) and net.n_slots != dataset.slots:
+        raise DataError(f"PoiNet was built for {net.n_slots} time slots; "
+                        f"the dataset has {dataset.slots}")
 
 
 def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNet | None,
@@ -313,8 +317,7 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
                 if place_side is not None:
                     row = _combine(row, place_side[:, u], fusion)
                 ranks[j, i] = rank_of_truth(row, truths[i])
-        train_sets = dataset.train_poi_sets()
-        unseen_mask = [p not in train_sets[u] for u, p in zip(owners, truths)]
+        unseen_mask = ~association.seen_in_training(dataset, user_rows.users, user_rows.places)
         for variant, variant_ranks in zip(user_side, ranks):
             results[variant] = _package(variant, fusion, ks, variant_ranks, unseen_mask, owners)
     return {v: results[v] for v in variants}
@@ -324,10 +327,9 @@ def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray,
                            fusion: FusionStrategy, ks) -> dict:
     g, visitor = dataset.by_poi, dataset.events.user
     owner, _, in_train = g.positions()
-    places, users = owner[~in_train].tolist(), visitor[g.order[~in_train]].tolist()
-    train_visitors = [set(visitor[g.history(p)].tolist()) for p in range(dataset.n_pois)]
-    ranks = [rank_of_truth(s_l_adj[p], u) for p, u in zip(places, users)]
-    unseen_mask = [u not in train_visitors[p] for p, u in zip(places, users)]
+    places, users = owner[~in_train], visitor[g.order[~in_train]]
+    ranks = [rank_of_truth(s_l_adj[p], u) for p, u in zip(places.tolist(), users.tolist())]
+    unseen_mask = ~association.seen_in_training(dataset, users, places)
     return _package("poi_net_only", fusion, ks, ranks, unseen_mask, places)
 
 
@@ -335,18 +337,18 @@ def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
     """A result dict from each instance's rank, whether its target is unseen,
     and the user (or place) it belongs to."""
     ranks = np.asarray(ranks)
-    unseen_mask = np.asarray(unseen_mask, dtype=bool)
     out = {"variant": variant, "fusion": fusion.label(), "ranks": ranks.tolist()}
     out.update(_metrics_from_ranks(ranks, ks))
     if unseen_mask.any():
         out["unseen"] = _metrics_from_ranks(ranks[unseen_mask], ks)
     else:
         out["unseen"] = {"acc": {int(k): None for k in ks}, "mrr": None, "n": 0}
-    per_entity_ranks = {}
-    for e, rank in zip(owners, out["ranks"]):
-        per_entity_ranks.setdefault(e, []).append(rank)
-    out["per_user"] = {int(e): {"n": len(r), "mrr": float(np.mean(1.0 / np.asarray(r)))}
-                       for e, r in sorted(per_entity_ranks.items())}
+    order = np.argsort(owners, kind="stable")
+    entities, starts, counts = np.unique(np.asarray(owners)[order], return_index=True,
+                                         return_counts=True)
+    reciprocal = 1.0 / ranks[order]     # each owner's instances, contiguous
+    out["per_user"] = {e: {"n": n, "mrr": float(np.mean(reciprocal[s:s + n]))}
+                       for e, s, n in zip(entities.tolist(), starts.tolist(), counts.tolist())}
     return out
 
 
@@ -514,48 +516,40 @@ def motivation_stats(dataset: Dataset, which: str):
     Returns (header, rows).  visit_counts: how many users visited each place
     at least <threshold> times; temporal_density: per-place visit share by
     (slot, weekday); *_sim_vs_common: paired samples of similarity against the
-    raw common-element count, for correlation inspection.
+    raw common-element count over the training split, for correlation
+    inspection.  Every row holds Python ints and floats.
     """
+    events, n_users, n_pois = dataset.events, dataset.n_users, dataset.n_pois
     if which == "visit_counts":
         header = ("poi", "threshold", "n_users")
-        rows = []
-        for p in range(dataset.n_pois):
-            counts: dict[int, int] = {}
-            for evs in (dataset.poi_train[p], dataset.poi_test[p]):
-                for e in evs:
-                    counts[e.user] = counts.get(e.user, 0) + 1
-            top = max(counts.values(), default=0)
-            for threshold in range(1, top + 1):
-                n = sum(1 for c in counts.values() if c >= threshold)
-                rows.append((p, threshold, n))
-        return header, rows
+        # A place's visitor with c visits there reaches thresholds 1..c.
+        pair, visits = np.unique(events.poi * n_users + events.user, return_counts=True)
+        poi = np.repeat(pair // n_users, visits)
+        threshold = np.arange(poi.size) - np.repeat(np.cumsum(visits) - visits, visits) + 1
+        span = visits.max() + 1
+        cell, n = np.unique(poi * span + threshold, return_counts=True)
+        poi, threshold = np.divmod(cell, span)
+        return header, list(zip(poi.tolist(), threshold.tolist(), n.tolist()))
     if which == "temporal_density":
         header = ("poi", "slot", "weekday", "density")
-        rows = []
-        for p in range(dataset.n_pois):
-            grid: dict[tuple[int, int], int] = {}
-            total = 0
-            for evs in (dataset.poi_train[p], dataset.poi_test[p]):
-                for e in evs:
-                    grid[(e.slot, e.weekday)] = grid.get((e.slot, e.weekday), 0) + 1
-                    total += 1
-            for (slot, weekday), count in sorted(grid.items()):
-                rows.append((p, slot, weekday, count / total))
-        return header, rows
+        cell, count = np.unique((events.poi * dataset.slots + events.slot) * 7 + events.weekday,
+                                return_counts=True)
+        poi, slot, weekday = cell // (7 * dataset.slots), cell // 7 % dataset.slots, cell % 7
+        density = count / np.bincount(events.poi, minlength=n_pois)[poi]
+        return header, list(zip(poi.tolist(), slot.tolist(), weekday.tolist(),
+                                density.tolist()))
     if which == "user_sim_vs_common":
         header = ("user_m", "user_n", "similarity", "common_pois")
-        corr = association.user_similarity(dataset)
-        sets = dataset.train_poi_sets()
-        rows = [(m, n, float(corr[m, n]), len(sets[m] & sets[n]))
-                for m in range(dataset.n_users) for n in range(dataset.n_users) if m != n]
-        return header, rows
+        corr, common = association.user_similarity(dataset), association.shared_places(dataset)
+        m, n = np.nonzero(~np.eye(n_users, dtype=bool))
+        return header, list(zip(m.tolist(), n.tolist(), corr[m, n].tolist(),
+                                common[m, n].tolist()))
     if which == "poi_sim_vs_common":
         header = ("poi_m", "poi_n", "similarity", "common_users")
-        corr = association.poi_similarity(dataset)
-        visitors = [{e.user for e in evs} for evs in dataset.poi_train]
-        rows = [(m, n, float(corr[m, n]), len(visitors[m] & visitors[n]))
-                for m in range(dataset.n_pois) for n in range(m + 1, dataset.n_pois)]
-        return header, rows
+        corr, common = association.poi_similarity(dataset), association.shared_visitors(dataset)
+        m, n = np.triu_indices(n_pois, 1)
+        return header, list(zip(m.tolist(), n.tolist(), corr[m, n].tolist(),
+                                common[m, n].tolist()))
     raise ValueError(f"unknown statistic {which!r}; expected one of {STAT_KINDS}")
 
 

@@ -236,18 +236,17 @@ class WindowNet:
     # -- training ------------------------------------------------------------
 
     def train(self, dataset: Dataset, epochs: int, seed: int = 0, lr: float = 1e-3,
-              optimizer: str = "adam", batch_size: int | None = None,
-              windows: list[list] | None = None) -> list[float]:
+              optimizer: str = "adam", batch_size: int | None = None) -> list[float]:
         """Fit on the training windows; returns the per-epoch loss log.
 
-        The pool (the grouping's windows unless ``windows`` is given) is
-        packed once.  Default is one full-batch step per epoch; with
-        batch_size set, windows are reshuffled each epoch from the seed.
-        Each step's loss is the mean over its chunk's predicted rows.
+        The grouping's windows are packed once.  Default is one full-batch
+        step per epoch; with batch_size set, windows are reshuffled each
+        epoch from the seed.  Each step's loss is the mean over its chunk's
+        predicted rows.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-        packed = self.pack(dataset.windows(self.grouping) if windows is None else windows)
+        packed = self.pack(dataset.windows(self.grouping))
         n_windows = packed.context.size
         opt = ad.make_optimizer(optimizer, self.parameters(), lr)
         rng = np.random.default_rng(seed)

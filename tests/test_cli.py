@@ -55,6 +55,25 @@ def model_dir(data_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def twelve_slots(tmp_path_factory):
+    """A twin of ``data_dir`` cut into 12 time slots, not 24, and an
+    untrained place-side checkpoint built for it."""
+    out = tmp_path_factory.mktemp("slots")
+    assert cli.main(["synth", "--seed", "1", *SMALL_SET, "--set", "slots=12",
+                     "--out", str(out / "data")]) == 0
+    assert cli.main(["train", "--data", str(out / "data"), "--net", "poi", "--epochs", "0",
+                     "--dim", "4", "--slot-dim", "2", "--out", str(out)]) == 0
+    return out
+
+
+def slot_mismatches(data_dir, model_dir, twelve_slots):
+    """(dataset, place-side checkpoint, slots it was built for, the dataset's
+    slots) in both directions."""
+    return [(twelve_slots / "data", model_dir / "poi_net.ckpt", 24, 12),
+            (data_dir, twelve_slots / "poi_net.ckpt", 12, 24)]
+
+
+@pytest.fixture(scope="module")
 def bad_user_ckpts(model_dir, tmp_path_factory):
     """Files given as --user-ckpt that must end in a data error, with the
     text the message must carry."""
@@ -148,6 +167,19 @@ class TestIngest:
     def test_missing_input_file(self, tmp_path):
         assert cli.main(["ingest", "--input", str(tmp_path / "nope.txt"),
                          "--out", str(tmp_path / "ds")]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("flag, value", [("--split-ratio", "1.5"), ("--split-ratio", "nan"),
+                                             ("--slots", "0")])
+    def test_unloadable_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        """A split ratio outside (0, 1] or fewer than one slot would write a
+        directory that no command can load; nothing is written."""
+        raw = tmp_path / "raw.txt"
+        self.write_raw(raw)
+        out = tmp_path / "ds"
+        assert cli.main(["ingest", "--input", str(raw), "--min-records", "10", flag, value,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _rewrite_manifest(directory, **changes):
@@ -384,6 +416,16 @@ class TestEvaluate:
         assert "12 users" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_slot_count_mismatch_is_data_error(self, data_dir, model_dir, twelve_slots,
+                                               tmp_path, capsys):
+        for data, ckpt, built, held in slot_mismatches(data_dir, model_dir, twelve_slots):
+            out = tmp_path / f"r{built}"
+            assert cli.main(["evaluate", "--data", str(data), "--poi-ckpt", str(ckpt),
+                             "--variant", "poi_net_only", "--out", str(out)]) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"built for {built} time slots" in err and f"has {held}" in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("case", ["wrong_kind", "not_a_checkpoint", "wrong_shape"])
     def test_bad_checkpoint_is_data_error(self, data_dir, bad_user_ckpts, tmp_path,
                                           capsys, case):
@@ -508,6 +550,16 @@ class TestCase:
                          "--poi-ckpt", str(model_dir / "poi_net.ckpt"),
                          "--user", "u003", "--poi", "p007"]) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
+
+    def test_slot_count_mismatch_is_data_error(self, data_dir, model_dir, twelve_slots,
+                                               capsys):
+        for data, ckpt, built, held in slot_mismatches(data_dir, model_dir, twelve_slots):
+            assert cli.main(["case", "--data", str(data),
+                             "--user-ckpt", str(model_dir / "user_net.ckpt"),
+                             "--poi-ckpt", str(ckpt),
+                             "--user", "u003", "--poi", "p007"]) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"built for {built} time slots" in err and f"has {held}" in err
 
     def test_unknown_raw_id(self, data_dir, model_dir, tmp_path):
         assert cli.main(["case", "--data", str(data_dir),

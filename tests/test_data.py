@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc import data
+from nextloc import association, data
 from nextloc.data import (CheckIn, DataError, SyntheticSpec, build_dataset,
                           day_index, discretize_time, filter_inactive_users,
                           filter_rare_pois, generate_synthetic, load_dataset,
@@ -403,6 +403,7 @@ def test_load_dataset_rejects_random_directory(tmp_path):
 def test_dataset_immutable_under_reader(small_dataset):
     # Reading helpers must not mutate shared state.
     before = copy.deepcopy(small_dataset.train)
-    small_dataset.train_poi_sets()
+    _ = [{e.poi for e in evs} for evs in small_dataset.train]
+    _ = association.shared_places(small_dataset)
     _ = small_dataset.cold_pois
     assert small_dataset.train == before

@@ -468,7 +468,7 @@ class TestMotivationStats:
     def test_similarity_pairs_match_matrices(self, small_dataset):
         _, rows = motivation_stats(small_dataset, "user_sim_vs_common")
         corr = association.user_similarity(small_dataset)
-        sets = small_dataset.train_poi_sets()
+        sets = [{e.poi for e in evs} for evs in small_dataset.train]
         assert len(rows) == small_dataset.n_users * (small_dataset.n_users - 1)
         for m, n, sim, common in rows[:20]:
             assert sim == corr[m, n]

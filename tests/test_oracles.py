@@ -1,5 +1,6 @@
 """Array code against the per-item code it replaced, kept here as oracles:
-the check-in parser and writer, and ``association.truncate_top_k``."""
+the check-in parser and writer, ``association.truncate_top_k``, the
+set-based similarity builds and the record-view motivation statistics."""
 
 import os
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nextloc import association
 from nextloc.association import truncate_top_k
-from nextloc.data import (FORMATS, CheckIn, DataError, format_timestamp, load_dataset,
-                          parse_checkin_file, parse_timestamp, save_dataset,
-                          write_checkin_file)
+from nextloc.data import (FORMATS, CheckIn, DataError, build_dataset, day_index,
+                          format_timestamp, load_dataset, parse_checkin_file,
+                          parse_timestamp, save_dataset, write_checkin_file)
+from nextloc.evaluate import STAT_KINDS, motivation_stats
 
 
 # -- the per-line parser and the per-record writer ---------------------------------
@@ -239,3 +242,131 @@ def test_truncate_top_k_matches_the_row_loop(seed):
     corr[:, 7] = 1.0
     for k in range(17):
         assert truncate_top_k(corr, k).tobytes() == truncate_by_rows(corr, k).tobytes()
+
+
+# -- similarity and statistics from per-entity sets --------------------------------
+
+def set_user_similarity(ds, same_day=False, top_k=None):
+    """``association.user_similarity`` by intersecting per-user sets."""
+    if same_day:
+        sets = [{(e.poi, day_index(e.t)) for e in evs} for evs in ds.train]
+    else:
+        sets = [{e.poi for e in evs} for evs in ds.train]
+    corr = np.zeros((ds.n_users, ds.n_users))
+    for m in range(ds.n_users):
+        if sets[m]:
+            for n in range(ds.n_users):
+                corr[m, n] = len(sets[m] & sets[n]) / len(sets[m])
+        corr[m, m] = 1.0
+    return truncate_by_rows(corr, top_k) if top_k is not None else corr
+
+
+def set_poi_similarity(ds, normalize="global", top_k=None):
+    """``association.poi_similarity`` from per-(user, day) place sets and
+    per-pair day sets."""
+    visits_by_user_day = {}
+    for evs in ds.train:
+        for e in evs:
+            visits_by_user_day.setdefault((e.user, day_index(e.t)), set()).add(e.poi)
+    pair_days = {}
+    for (_, day), pois in visits_by_user_day.items():
+        members = sorted(pois)
+        for i, m in enumerate(members):
+            for n in members[i + 1:]:
+                pair_days.setdefault((m, n), set()).add(day)
+    raw = np.zeros((ds.n_pois, ds.n_pois))
+    for (m, n), days in pair_days.items():
+        raw[m, n] = raw[n, m] = len(days)
+    if normalize == "global":
+        top = raw.max()
+        corr = raw / top if top > 0 else raw
+    else:
+        row_top = raw.max(axis=1, keepdims=True)
+        corr = np.divide(raw, row_top, out=np.zeros_like(raw), where=row_top > 0)
+    np.fill_diagonal(corr, 1.0)
+    return truncate_by_rows(corr, top_k) if top_k is not None else corr
+
+
+def record_stats(ds, which):
+    """``evaluate.motivation_stats`` by looping over the record views."""
+    if which == "visit_counts":
+        rows = []
+        for p in range(ds.n_pois):
+            counts = {}
+            for evs in (ds.poi_train[p], ds.poi_test[p]):
+                for e in evs:
+                    counts[e.user] = counts.get(e.user, 0) + 1
+            top = max(counts.values(), default=0)
+            for threshold in range(1, top + 1):
+                rows.append((p, threshold, sum(1 for c in counts.values() if c >= threshold)))
+        return rows
+    if which == "temporal_density":
+        rows = []
+        for p in range(ds.n_pois):
+            grid, total = {}, 0
+            for evs in (ds.poi_train[p], ds.poi_test[p]):
+                for e in evs:
+                    grid[(e.slot, e.weekday)] = grid.get((e.slot, e.weekday), 0) + 1
+                    total += 1
+            for (slot, weekday), count in sorted(grid.items()):
+                rows.append((p, slot, weekday, count / total))
+        return rows
+    if which == "user_sim_vs_common":
+        corr = set_user_similarity(ds)
+        sets = [{e.poi for e in evs} for evs in ds.train]
+        return [(m, n, float(corr[m, n]), len(sets[m] & sets[n]))
+                for m in range(ds.n_users) for n in range(ds.n_users) if m != n]
+    corr = set_poi_similarity(ds)
+    visitors = [{e.user for e in evs} for evs in ds.poi_train]
+    return [(m, n, float(corr[m, n]), len(visitors[m] & visitors[n]))
+            for m in range(ds.n_pois) for n in range(m + 1, ds.n_pois)]
+
+
+@st.composite
+def tiny_datasets(draw):
+    """A few users over a few days, each drawing visits from a palette of one
+    to three places: repeat visits on one day, single-place users, places
+    that only the test split or nobody visits, and users who share another
+    user's outings (the same places on the same days)."""
+    n_users = draw(st.integers(1, 5))
+    n_pois = draw(st.integers(1, 6))
+    records, outings = [], []
+    for u in range(n_users):
+        palette = draw(st.lists(st.integers(0, n_pois - 1), min_size=1, max_size=3))
+        visits = draw(st.lists(st.tuples(st.sampled_from(palette), st.integers(0, 3)),
+                               min_size=3, max_size=10))
+        if outings and draw(st.booleans()):
+            visits += draw(st.sampled_from(outings))
+        outings.append(visits)
+        records += [CheckIn(u, (14_610 + day) * 86400 + draw(st.integers(0, 86399)), 0.0, 0.0, p)
+                    for p, day in visits]
+    cold = draw(st.integers(0, 2))
+    return build_dataset(records, draw(st.sampled_from([0.6, 0.8, 1.0])),
+                         slots=draw(st.sampled_from([1, 4, 24])),
+                         user_raw=[f"u{u}" for u in range(n_users)],
+                         poi_raw=[f"p{p}" for p in range(n_pois + cold)])
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_datasets())
+def test_co_visit_counts_match_the_set_oracles(ds):
+    for top_k in (None, 0, 1, 3):
+        for same_day in (False, True):
+            assert same_bytes(association.user_similarity(ds, same_day, top_k),
+                              set_user_similarity(ds, same_day, top_k))
+        for normalize in ("global", "row"):
+            assert same_bytes(association.poi_similarity(ds, normalize, top_k),
+                              set_poi_similarity(ds, normalize, top_k))
+    for which in STAT_KINDS:
+        _, rows = motivation_stats(ds, which)
+        # repr tells a numpy scalar from a Python one, as the CSV writer would.
+        assert [tuple(map(repr, r)) for r in rows] == \
+            [tuple(map(repr, r)) for r in record_stats(ds, which)]
+    users, places = np.divmod(np.arange(ds.n_users * ds.n_pois), ds.n_pois)
+    pairs = {(e.user, e.poi) for evs in ds.train for e in evs}
+    assert association.seen_in_training(ds, users, places).tolist() == \
+        [(u, p) in pairs for u, p in zip(users.tolist(), places.tolist())]
