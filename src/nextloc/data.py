@@ -276,6 +276,7 @@ def _slot_gap(a: int, b: int, slots: int) -> int:
 
 
 def _validate_spec(spec: SyntheticSpec) -> None:
+    check_settings(spec.split_ratio, spec.window, spec.slots)
     if spec.n_zones < 1:
         raise DataError("infeasible synthetic spec: need at least one zone")
     max_zone = -(-spec.n_pois // spec.n_zones)

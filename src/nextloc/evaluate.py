@@ -105,12 +105,29 @@ def rank_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
+#: Instances ranked together: the block bounds the (instances x candidates)
+#: temporaries of ranking.
+RANK_BLOCK = 256
+
+
+def ranks_of_truths(rows: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's true candidate (rows (B, C), truths (B,))
+    under the same tie rule as rank_top_k: the candidates scoring higher,
+    plus those tied with the truth at a lower index."""
+    truths = np.asarray(truths)
+    s = rows[np.arange(truths.size), truths][:, None]
+    tied_before = (rows == s) & (np.arange(rows.shape[1]) < truths[:, None])
+    return np.count_nonzero(rows > s, axis=1) + np.count_nonzero(tied_before, axis=1) + 1
+
+
 def rank_of_truth(scores: np.ndarray, truth: int) -> int:
-    """1-based rank of the true candidate under the same tie rule as rank_top_k."""
-    s = scores[truth]
-    better = int(np.count_nonzero(scores > s))
-    tied_before = int(np.count_nonzero((scores == s) & (np.arange(len(scores)) < truth)))
-    return better + tied_before + 1
+    """``ranks_of_truths`` for one row."""
+    return int(ranks_of_truths(np.asarray(scores)[None], [truth])[0])
+
+
+def _blocks(n: int):
+    """Index ranges of ``RANK_BLOCK`` instances covering n."""
+    return (np.arange(s, min(s + RANK_BLOCK, n)) for s in range(0, n, RANK_BLOCK))
 
 
 def acc_at_k(ranked_lists, truths, k: int) -> float:
@@ -151,22 +168,22 @@ class _UserSideRows:
 
     The instances are the test events, by user and then in test order:
     ``users``, ``places`` (the truth) and ``times`` hold each one's user,
-    place and time.  ``walk`` yields each instance's index with the user's own
-    row and, given a similarity matrix, the cross-user adjusted row.
+    place and time.  ``walk`` yields blocks of instances with the users' own
+    rows and, given a similarity matrix, the cross-user adjusted rows.
 
     static: one row per user at the end of training history
     (``UserNet.predict_score_matrix``) and one ``adjust_user_scores`` product.
 
-    stepwise: a user's rows at the cuts of their history come from one
-    ``score_rows_at_cuts`` call: at every cut for cross-user rows, and only at
-    the cuts before test events otherwise.  For cross-user rows the walk
-    visits instances in time order and keeps a users-by-places matrix holding
-    each user's row at their current cut: a user's events with time strictly
-    before the instance's advance that row, so every user's row reflects
-    exactly the true events before the instance.  The adjusted row is
-    ``corr_u[user] @ current``, renormalised.  Cost: linear in events to
-    advance the rows, plus one users-by-places product per instance; no
-    per-instance row is kept.
+    stepwise: one ``score_cuts`` call scores each cut the walk reads, and no
+    other.  An instance's own row sits at the cut before it.  For cross-user
+    rows the walk visits instances in time order and keeps a users-by-places
+    matrix holding each user's row at their current cut: the cut after a
+    user's event is current for instances later than that event and no later
+    than the user's next one, so it is read only if such an instance exists
+    (cut 0 only if one comes no later than the user's first event).  Every
+    user's row thus reflects exactly the true events before the instance.
+    The adjusted row is ``corr_u[user] @ current``, renormalised.  Cost:
+    linear in the cuts read, plus one users-by-places product per instance.
     """
 
     def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,
@@ -182,48 +199,74 @@ class _UserSideRows:
             self.static_adj = (association.adjust_user_scores(corr_u, self.static)
                                if corr_u is not None else None)
             return
-        # Own rows sit at the cut before each test event; cross-user rows can
-        # sit at any cut, as another user's instance may follow any event.
-        sizes = np.diff(g.offsets)
-        first, last = ((g.train_counts, sizes - 1) if corr_u is None
-                       else (np.zeros_like(sizes), sizes))
-        self.own_index = (rank[~in_train] - first[self.users]).tolist()
-        self.cut_rows = [net.score_rows_at_cuts(events.take(g.history(u, train_only=False)),
-                                                u, range(first[u], last[u] + 1))
-                         for u in range(dataset.n_users)]
-        # Every event as (time, user, cut after it), by user.
-        self.stream = events.t[g.order], owner, rank + 1
+        # User u's cut c is key base[u] + c; each instance reads its own cut.
+        base = g.offsets[:-1] + np.arange(dataset.n_users)
+        own = base[self.users] + rank[~in_train]
+        keys = [own]
+        if corr_u is not None:
+            # The cut after grouped event p is read if an instance time lies
+            # in (its time, the time of its user's next event]; cut 0 if one
+            # lies at or before the user's first event.
+            times = events.t[g.order]
+            last = rank == np.diff(g.offsets)[owner] - 1
+            instants = np.sort(self.times)
+            seen = np.searchsorted(instants, times, side="right")
+            until = np.where(last, instants.size,
+                             np.searchsorted(instants, np.roll(times, -1), side="right"))
+            read = np.flatnonzero(until > seen)
+            after = base[owner[read]] + rank[read] + 1
+            first = g.offsets[:-1]
+            starts = np.flatnonzero(np.searchsorted(instants, times[first], side="right"))
+            keys += [after, base[starts]]
+        keys = np.unique(np.concatenate(keys))
+        users = np.searchsorted(base, keys, side="right") - 1
+        self.cut_rows = net.score_cuts((events, g.order, g.offsets), users, keys - base[users])
+        self.own_index = np.searchsorted(keys, own)
+        if corr_u is not None:
+            # The events whose cut is read, as (time, user, row of that cut),
+            # and each user's row at cut 0 where an instance reads it.
+            self.stream = times[read], owner[read], np.searchsorted(keys, after)
+            self.start_rows = starts, np.searchsorted(keys, base[starts])
 
     def walk(self):
-        """Yield (instance index, own row, adjusted row or None)."""
-        users = self.users.tolist()
+        """Yield (instance indices, own rows, adjusted rows or None) in blocks
+        of at most ``RANK_BLOCK`` instances."""
+        n = self.users.size
         if self.mode == "static":
-            for i, u in enumerate(users):
-                yield i, self.static[u], (self.static_adj[u]
-                                          if self.static_adj is not None else None)
+            for idx in _blocks(n):
+                users = self.users[idx]
+                yield idx, self.static[users], (self.static_adj[users]
+                                                if self.static_adj is not None else None)
             return
         if self.corr_u is None:
-            for i, (u, k) in enumerate(zip(users, self.own_index)):
-                yield i, self.cut_rows[u][k], None
+            for idx in _blocks(n):
+                yield idx, self.cut_rows[self.own_index[idx]], None
             return
-        # The event stream in time order; a stable sort keeps each user's
-        # events in cut order among equal times.
-        times, owners, cuts = self.stream
+        # The stream in time order.  A read cut's interval is not empty, so
+        # one user's events in the stream have distinct times.
+        times, owners, cut_rows = self.stream
         order = np.argsort(times, kind="stable")
-        times, owners, cuts = times[order], owners[order].tolist(), cuts[order].tolist()
+        times, owners, cut_rows = times[order], owners[order].tolist(), cut_rows[order].tolist()
         inst_order = np.argsort(self.times, kind="stable")
         # Events strictly before each instance, as a prefix of the stream.
-        visible = np.searchsorted(times, self.times[inst_order], side="left").tolist()
-        current = np.stack([rows[0] for rows in self.cut_rows])
+        visible = np.searchsorted(times, self.times[inst_order], side="left")
+        # A user's row before their first read cut is never read.
+        current = np.zeros((self.corr_u.shape[0], self.cut_rows.shape[1]))
+        starts, start_rows = self.start_rows
+        current[starts] = self.cut_rows[start_rows]
+        users = self.users.tolist()
         applied = 0
-        for i, upto in zip(inst_order.tolist(), visible):
-            for v, cut in zip(owners[applied:upto], cuts[applied:upto]):
-                current[v] = self.cut_rows[v][cut]
-            applied = upto
-            u = users[i]
-            vec = self.corr_u[u] @ current
-            total = vec.sum()
-            yield i, self.cut_rows[u][self.own_index[i]], (vec / total if total > 0 else vec)
+        for block in _blocks(n):
+            idx = inst_order[block]
+            adjusted = np.empty((idx.size, current.shape[1]))
+            for j, (i, upto) in enumerate(zip(idx.tolist(), visible[block].tolist())):
+                for v, r in zip(owners[applied:upto], cut_rows[applied:upto]):
+                    current[v] = self.cut_rows[r]
+                applied = upto
+                vec = self.corr_u[users[i]] @ current
+                total = vec.sum()
+                adjusted[j] = vec / total if total > 0 else vec
+            yield idx, self.cut_rows[self.own_index[idx]], adjusted
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -257,10 +300,12 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
                       s_u_mode: str = "stepwise") -> dict[str, dict]:
     """{variant: metrics} for one trained model pair, in the requested order.
 
-    Every wiring is checked before anything is scored.  Each part the
-    requested wirings read is built at most once: the similarity matrices and
-    place-side rows ``s_l`` unless given, the cross-place adjustment, and one
-    set of user-side rows, which a single walk ranks under every variant.
+    Every wiring is checked before anything is scored, and a dataset without
+    test events raises DataError.  Each part the requested wirings read is
+    built at most once: the similarity matrices and place-side rows ``s_l``
+    unless given, the cross-place adjustment, and one set of user-side rows,
+    which a single walk ranks under every variant, a block of instances at a
+    time.
     A result holds "variant", "fusion", "ranks" (each test event's 1-based
     rank, by user, or place for the next-visitor task, then in test order),
     "n", "acc", "mrr", "per_user" and "unseen": the same metrics over test
@@ -283,6 +328,9 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
             check_fits(dataset, net)
     if s_u_mode not in ("stepwise", "static"):
         raise ValueError(f"unknown user-side mode {s_u_mode!r}")
+    if dataset.by_user.train_counts.sum() == len(dataset.events):
+        raise DataError(f"no test events to evaluate: split ratio {dataset.split_ratio} "
+                        "keeps every event for training")
 
     # Each part that some requested variant reads.
     used = Wiring(*(any(getattr(WIRING[v], f) for v in variants) for f in Wiring._fields))
@@ -308,15 +356,15 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
         picks = [(WIRING[v].user_adj,
                   s_l_adj if WIRING[v].poi_adj else s_l if WIRING[v].poi_net else None)
                  for v in user_side]
-        owners, truths = user_rows.users.tolist(), user_rows.places.tolist()
-        ranks = np.empty((len(user_side), len(owners)), dtype=np.int64)
-        for i, own, adjusted in user_rows.walk():
-            u = owners[i]
+        owners, truths = user_rows.users, user_rows.places
+        ranks = np.empty((len(user_side), owners.size), dtype=np.int64)
+        for idx, own, adjusted in user_rows.walk():
+            users = owners[idx]
             for j, (user_adj, place_side) in enumerate(picks):
-                row = adjusted if user_adj else own
+                rows = adjusted if user_adj else own
                 if place_side is not None:
-                    row = _combine(row, place_side[:, u], fusion)
-                ranks[j, i] = rank_of_truth(row, truths[i])
+                    rows = _combine(rows, place_side[:, users].T, fusion)
+                ranks[j, idx] = ranks_of_truths(rows, truths[idx])
         unseen_mask = ~association.seen_in_training(dataset, user_rows.users, user_rows.places)
         for variant, variant_ranks in zip(user_side, ranks):
             results[variant] = _package(variant, fusion, ks, variant_ranks, unseen_mask, owners)
@@ -328,7 +376,9 @@ def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray,
     g, visitor = dataset.by_poi, dataset.events.user
     owner, _, in_train = g.positions()
     places, users = owner[~in_train], visitor[g.order[~in_train]]
-    ranks = [rank_of_truth(s_l_adj[p], u) for p, u in zip(places.tolist(), users.tolist())]
+    ranks = np.empty(places.size, dtype=np.int64)
+    for idx in _blocks(places.size):
+        ranks[idx] = ranks_of_truths(s_l_adj[places[idx]], users[idx])
     unseen_mask = ~association.seen_in_training(dataset, users, places)
     return _package("poi_net_only", fusion, ks, ranks, unseen_mask, places)
 

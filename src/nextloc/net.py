@@ -17,10 +17,28 @@ import numpy as np
 from . import autodiff as ad
 from .dataset import DataError, Dataset, Events
 
-#: Windows whose recall ``WindowNet.pack`` computes together, and cuts that
-#: ``WindowNet.score_rows_at_cuts`` scores together: the block bounds the size
-#: of their temporaries.
+#: Windows whose recall ``WindowNet.pack`` computes together, and (history,
+#: cut) pairs that ``WindowNet.score_cuts`` scores together: the block bounds
+#: the size of their temporaries.
 CUT_BLOCK = 128
+#: Padded cells (histories x steps) of one prediction recurrence:
+#: ``WindowNet.score_cuts`` groups histories under this budget, so its memory
+#: does not grow with the number of histories scored at once.
+CELL_BUDGET = 4096
+
+
+def _padded(events: Events, rows: np.ndarray, lengths: np.ndarray):
+    """Runs of the given lengths over ``rows`` of ``events``, padded to the
+    longest: the (B, K) mask of real steps, and a function giving a field's
+    (B, K) values, zero at padded steps."""
+    filled = np.arange(lengths.max()) < lengths[:, None]
+
+    def column(field, dtype=np.intp):
+        out = np.zeros(filled.shape, dtype=dtype)
+        out[filled] = getattr(events, field)[rows]
+        return out
+
+    return filled, column
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,10 +81,11 @@ class WindowNet:
     freshly initialised network sized by a checkpoint's arrays).  To aggregate
     past states, a subclass names the event fields it reads in
     ``recall_fields`` and defines ``_recall(last, *columns)``: from (..., K)
-    columns of those fields, the (..., R, K) weights over K steps' states seen
-    from each step in ``last`` (R,).  Without them, each row uses the current
-    state alone.  Events reach a network as lists of NamedTuple records or as
-    ``dataset.Events`` columns."""
+    columns of those fields and one step index per row in ``last`` (...),
+    broadcast against the columns' leading axes, the (..., K) weights over K
+    steps' states seen from that step.  Without them, each row uses the
+    current state alone.  Events reach a network as lists of NamedTuple
+    records or as ``dataset.Events`` columns."""
 
     target_field: str
     step_inputs: tuple[tuple[str, str], ...]
@@ -132,19 +151,14 @@ class WindowNet:
             raise ValueError("no training windows")
         if lengths.min() < 2:
             raise ValueError("window must contain an input step and a target")
-        filled = np.arange(lengths.max()) < lengths[:, None]
-
-        def column(field, dtype=np.intp):
-            out = np.zeros(filled.shape, dtype=dtype)
-            out[filled] = getattr(events, field)[rows]
-            return out
-
+        filled, column = _padded(events, rows, lengths)
         recall = None
         if self.recall_fields:
             # Padded steps get zero fields: finite weights that reach only
-            # padded rows, which the loss masks out.
-            columns = [column(field, np.float64)[:, :-1] for field in self.recall_fields]
-            steps = np.arange(filled.shape[1] - 1)
+            # padded rows, which the loss masks out.  Each window's rows are
+            # seen from every one of its steps.
+            columns = [column(field, np.float64)[:, None, :-1] for field in self.recall_fields]
+            steps = np.arange(filled.shape[1] - 1)[None]
             recall = np.concatenate([self._recall(steps, *(c[s:s + CUT_BLOCK] for c in columns))
                                      for s in range(0, lengths.size, CUT_BLOCK)])
         return WindowBatch(
@@ -179,59 +193,99 @@ class WindowNet:
 
     # -- prediction ----------------------------------------------------------
 
-    def score_rows_at_cuts(self, events: list | Events, context: int, cuts) -> np.ndarray:
-        """Probability rows of the next target after prefixes of ``events``.
+    def score_cuts(self, histories, owners, cuts, contexts=None) -> np.ndarray:
+        """Probability rows of the next target for (history, cut) pairs.
 
-        Cut c means "the first c events have happened"; the row predicts the
-        following one from the state after event c (aggregated by the recall,
-        if any) and the ``context`` row.  Cut 0 (no history) yields a uniform
-        row.  The cell runs once over the whole sequence; cuts are scored in
-        ascending blocks of ``CUT_BLOCK``, so memory stays
-        O(CUT_BLOCK x events).
+        ``histories`` is ``(events, rows, offsets)``: history h is the events
+        at ``rows[offsets[h]:offsets[h + 1]]`` in order, read with context row
+        ``contexts[h]`` (default h).  Pair i's row predicts what follows the
+        first ``cuts[i]`` events of history ``owners[i]``, from the state after
+        them (aggregated by the recall, if any) and the context row; cut 0
+        (no history) yields a uniform row.
+
+        Histories are read only as far as their largest cut.  Widest first,
+        they run through the cell in groups whose padded cells stay under
+        ``CELL_BUDGET`` (a wider history runs alone); each group's pairs are
+        then scored in ascending-cut blocks of ``CUT_BLOCK``.  So besides the
+        result, memory stays O(CELL_BUDGET + CUT_BLOCK x width) rows of
+        states, width being the longest history read.
         """
+        events, rows, offsets = histories
+        owners = np.asarray(owners, dtype=np.intp)
         cuts = np.asarray(cuts, dtype=np.int64)
-        if cuts.size and (cuts.min() < 0 or cuts.max() > len(events)):
-            raise ValueError(f"cuts must lie in [0, {len(events)}]")
+        lengths = np.diff(offsets)
+        contexts = np.arange(lengths.size) if contexts is None else np.asarray(contexts)
+        if owners.size and (owners.min() < 0 or owners.max() >= lengths.size):
+            raise ValueError(f"history ids must lie in [0, {lengths.size})")
+        bad = np.flatnonzero((cuts < 0) | (cuts > lengths[owners]))
+        if bad.size:
+            raise ValueError(f"cuts must lie in [0, {lengths[owners[bad[0]]]}]")
+        params = self.named_parameters()
+        n_candidates = self.w_out.shape[1]
+        out = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
+        live = np.flatnonzero(cuts > 0)
+        if live.size == 0:
+            return out
+        # How far each history is read, and its group and slot in it.
+        width = np.zeros(lengths.size, dtype=np.int64)
+        np.maximum.at(width, owners[live], cuts[live])
+        read = np.flatnonzero(width)
+        read = read[np.argsort(-width[read], kind="stable")]
+        bounds = [0]
+        while bounds[-1] < read.size:
+            fit = max(1, CELL_BUDGET // int(width[read[bounds[-1]]]))
+            bounds.append(min(bounds[-1] + fit, read.size))
+        group = np.empty(lengths.size, dtype=np.intp)
+        slot = np.empty(lengths.size, dtype=np.intp)
+        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            group[read[a:b]] = g
+            slot[read[a:b]] = np.arange(b - a)
+        # The live pairs by group, then by cut.
+        order = live[np.lexsort((cuts[live], group[owners[live]]))]
+        ends = np.searchsorted(group[owners[order]], np.arange(len(bounds) - 1), side="right")
+        ctx_table = params[self.context_input[1]].values
+        for a, b, lo, hi in zip(bounds, bounds[1:], np.r_[0, ends[:-1]], ends):
+            members = read[a:b]
+            w = width[members]
+            starts = offsets[members] - (np.cumsum(w) - w)
+            _, column = _padded(events, rows[np.repeat(starts, w) + np.arange(w.sum())], w)
+            inputs = [(params[name], column(field)) for field, name in self.step_inputs]
+            states = ad.recurrent_states(inputs, self._cell())[1]
+            recall_columns = [column(field, np.float64) for field in self.recall_fields]
+            ctx = ctx_table[contexts[members]]
+            for s in range(lo, hi, CUT_BLOCK):
+                idx = order[s:min(s + CUT_BLOCK, hi)]
+                at, last = slot[owners[idx]], cuts[idx] - 1
+                if self.recall_fields:
+                    k = int(last[-1]) + 1
+                    recall = self._recall(last, *(c[at, :k] for c in recall_columns))
+                    agg = np.einsum("pk,pkd->pd", recall, states[at, :k])
+                else:
+                    agg = states[at, last]
+                _, probs, _ = ad.output_softmax(agg, ctx[at], (self.w_out, self.b_out))
+                out[idx] = probs.T
+        return out
+
+    def score_rows_at_cuts(self, events: list | Events, context: int, cuts) -> np.ndarray:
+        """``score_cuts`` for one history, ``events``, read with the
+        ``context`` row: cut c means "the first c events have happened"."""
         params = self.named_parameters()
         n_contexts = params[self.context_input[1]].shape[0]
         if not 0 <= context < n_contexts:
             raise ValueError(f"context {context} outside [0, {n_contexts})")
-        n_candidates = self.w_out.shape[1]
-        rows = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
-        order = np.argsort(cuts, kind="stable")
-        order = order[cuts[order] > 0]
-        if order.size == 0:
-            return rows
         events = Events.of(events)
-        inputs = [(params[name], getattr(events, field).astype(np.intp)[None])
-                  for field, name in self.step_inputs]
-        recall_columns = [getattr(events, f).astype(np.float64) for f in self.recall_fields]
-        states = ad.recurrent_states(inputs, self._cell())[1][0]
-        ctx = params[self.context_input[1]].values[context]
-        for start in range(0, order.size, CUT_BLOCK):
-            idx = order[start:start + CUT_BLOCK]
-            last = cuts[idx] - 1
-            if self.recall_fields:
-                width = int(last[-1]) + 1
-                recall = self._recall(last, *(c[:width] for c in recall_columns))
-                agg = recall @ states[:width]
-            else:
-                agg = states[last]
-            _, probs, _ = ad.output_softmax(agg, np.broadcast_to(ctx, (idx.size, ctx.size)),
-                                            (self.w_out, self.b_out))
-            rows[idx] = probs.T
-        return rows
+        cuts = np.asarray(cuts, dtype=np.int64)
+        return self.score_cuts((events, np.arange(len(events)), np.array([0, len(events)])),
+                               np.zeros(cuts.size, dtype=np.intp), cuts, [context])
 
     def predict_score_matrix(self, dataset: Dataset) -> np.ndarray:
         """Row-stochastic scores of each context after its whole training
-        history.  A context without one (a cold place) gets a uniform row; the
-        cross-side adjustment later blends in rows of similar contexts."""
-        grouping = getattr(dataset, self.grouping)
-        scores = np.empty((grouping.train_counts.size, self.w_out.shape[1]))
-        for c in range(len(scores)):
-            rows = grouping.history(c)
-            scores[c] = self.score_rows_at_cuts(dataset.events.take(rows), c, [rows.size])[0]
-        return scores
+        history, in one ``score_cuts`` call.  A context without one (a cold
+        place) gets a uniform row; the cross-side adjustment later blends in
+        rows of similar contexts."""
+        g = getattr(dataset, self.grouping)
+        return self.score_cuts((dataset.events, g.order, g.offsets),
+                               np.arange(g.train_counts.size), g.train_counts)
 
     # -- training ------------------------------------------------------------
 

@@ -107,20 +107,25 @@ class UserNet(WindowNet):
 
     def _recall(self, last: np.ndarray, t: np.ndarray, lat: np.ndarray,
                 lon: np.ndarray) -> np.ndarray:
-        """Normalised recall weights over past steps, seen from steps ``last``.
+        """Normalised recall weights over past steps, one row per step in ``last``.
 
-        ``t`` (seconds), ``lat`` and ``lon`` are (..., K) arrays of the steps;
-        row r of the (..., R, K) result weighs each step j <= last[r] as seen
-        from step last[r], sums to 1, and gives later steps 0.  Training asks
-        for every step of its windows (lower-triangular K x K), prediction for
-        the last step of each cut.
+        ``t`` (seconds), ``lat`` and ``lon`` are (..., K) arrays of the steps
+        and ``last`` (...) holds one step index per row, broadcast against
+        their leading axes.  Each row of the (..., K) result weighs every step
+        j <= last as seen from step last, sums to 1, and gives later steps 0.
+        Training sees each window from every one of its steps (a
+        lower-triangular K x K per window), prediction each cut from its last
+        step.
         """
         ts = t / SECONDS_PER_DAY
-        dt = ts[..., last, None] - ts[..., None, :]
-        dd = _haversine_arrays(lat[..., last, None], lon[..., last, None],
-                               lat[..., None, :], lon[..., None, :])
+
+        def at_last(column):
+            return np.take_along_axis(column, last[..., None], axis=-1)
+
+        dt = at_last(ts) - ts
+        dd = _haversine_arrays(at_last(lat), at_last(lon), lat, lon)
         # Later steps are masked out; clamping their negative time offsets
         # keeps the decay finite before the mask applies.
         w = (decay_weight(np.maximum(dt, 0.0), dd, self.alpha, self.beta)
-             * (np.arange(ts.shape[-1]) <= last[:, None]))
+             * (np.arange(ts.shape[-1]) <= last[..., None]))
         return w / w.sum(axis=-1, keepdims=True)

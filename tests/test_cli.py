@@ -118,6 +118,18 @@ class TestSynth:
         assert cli.main(["synth", "--set", "n_cities=3", "--out",
                          str(tmp_path / "x")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("setting, knob", [("split_ratio=nan", "split_ratio"),
+                                               ("split_ratio=1.5", "split_ratio"),
+                                               ("window=1", "window"), ("slots=0", "slots")])
+    def test_unusable_setting_is_usage_error(self, tmp_path, capsys, setting, knob):
+        """The dataset settings are checked before the spec's feasibility,
+        so the error names the knob; nothing is written."""
+        out = tmp_path / "x"
+        assert cli.main(["synth", *SMALL_SET, "--set", setting,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"error: {knob} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_env_var_sets_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEXTLOC_OUT", str(tmp_path))
         monkeypatch.chdir(tmp_path)
@@ -351,7 +363,34 @@ class TestAssociate:
         assert (np.count_nonzero(corr, axis=1) <= 3).all()  # 2 peers + self
 
 
+@pytest.fixture(scope="module")
+def all_train(tmp_path_factory):
+    """A dataset ingested with split ratio 1.0 (no test events; 10 users and
+    12 places, enough candidates for every default top-k), and both networks
+    trained on it for one epoch."""
+    out = tmp_path_factory.mktemp("all_train")
+    raw = out / "raw.txt"
+    raw.write_text("".join(f"u{u}\t{format_timestamp(1_300_000_000 + (k * 10 + u) * 3600)}"
+                           f"\t40.{u}\t-75.{k % 9}\tL{(k + u) % 12}\n"
+                           for u in range(10) for k in range(30)))
+    assert cli.main(["ingest", "--input", str(raw), "--min-records", "10",
+                     "--split-ratio", "1.0", "--out", str(out / "data")]) == 0
+    for net in ("user", "poi"):
+        assert cli.main(["train", "--data", str(out / "data"), "--net", net,
+                         "--epochs", "1", "--dim", "4", "--out", str(out)]) == 0
+    return out
+
+
 class TestEvaluate:
+    def test_dataset_without_test_events_is_data_error(self, all_train, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", "--data", str(all_train / "data"),
+                         "--user-ckpt", str(all_train / "user_net.ckpt"),
+                         "--poi-ckpt", str(all_train / "poi_net.ckpt"),
+                         "--variant", "full", "--out", str(out)]) == cli.EXIT_DATA
+        assert "no test events" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_variant_report(self, data_dir, model_dir, tmp_path, capsys):
         out = tmp_path / "rep"
         assert cli.main(["evaluate", "--data", str(data_dir),
@@ -501,6 +540,13 @@ class TestAblate:
         assert cli.main(["ablate", "--showcase", "--config", str(config),
                          "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
         assert "unknown config key 'seeds'" in capsys.readouterr().err
+
+    def test_dataset_without_test_events_is_data_error(self, all_train, tmp_path, capsys):
+        out = tmp_path / "abl"
+        assert cli.main(["ablate", "--data", str(all_train / "data"), "--seeds", "0",
+                         "--epochs", "1", "--out", str(out)]) == cli.EXIT_DATA
+        assert "no test events" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_a_source(self, tmp_path):
         assert cli.main(["ablate", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE

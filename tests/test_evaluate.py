@@ -300,30 +300,35 @@ class TestTimeOrderedPass:
                     for v, evs in enumerate(events)]
         rows = _UserSideRows(ds, user_net, corr_u, "stepwise")
         differs_from_inclusive = False
-        for i, _, adjusted in rows.walk():
-            u, t = rows.users[i], rows.times[i]
-            for visible in (bisect_left, bisect_right):
-                matrix = np.stack([cut_rows[v][visible(times[v], t)]
-                                   for v in range(ds.n_users)])
-                want = corr_u[u] @ matrix
-                want = want / want.sum()
-                if visible is bisect_left:
-                    np.testing.assert_allclose(adjusted, want, rtol=0, atol=1e-12)
-                else:
-                    differs_from_inclusive |= not np.allclose(adjusted, want, rtol=0, atol=1e-9)
+        walked = []
+        for idx, _, block in rows.walk():
+            walked += idx.tolist()
+            for i, adjusted in zip(idx.tolist(), block):
+                u, t = rows.users[i], rows.times[i]
+                for visible in (bisect_left, bisect_right):
+                    matrix = np.stack([cut_rows[v][visible(times[v], t)]
+                                       for v in range(ds.n_users)])
+                    want = corr_u[u] @ matrix
+                    want = want / want.sum()
+                    if visible is bisect_left:
+                        np.testing.assert_allclose(adjusted, want, rtol=0, atol=1e-12)
+                    else:
+                        differs_from_inclusive |= not np.allclose(adjusted, want, rtol=0,
+                                                                  atol=1e-9)
+        assert sorted(walked) == list(range(rows.users.size))
         assert differs_from_inclusive
 
     def test_static_mode_scores_one_cut_per_user(self, small_dataset, nets, monkeypatch):
         user_net, poi_net = nets
         scored = []
-        original = user_net.score_rows_at_cuts
+        original = user_net.score_cuts
 
-        def counting(events, user, cuts):
-            rows = original(events, user, cuts)
+        def counting(*args, **kwargs):
+            rows = original(*args, **kwargs)
             scored.append(len(rows))
             return rows
 
-        monkeypatch.setattr(user_net, "score_rows_at_cuts", counting)
+        monkeypatch.setattr(user_net, "score_cuts", counting)
         evaluate_with_nets(small_dataset, user_net, poi_net, "full", s_u_mode="static")
         assert sum(scored) == small_dataset.n_users
 
@@ -335,6 +340,16 @@ class TestTimeOrderedPass:
     def test_place_side_required(self, small_dataset, nets):
         with pytest.raises(ValueError, match="place-side"):
             evaluate_with_nets(small_dataset, nets[0], None, variant="no_cross_user")
+
+
+def cuts_read(ds):
+    """The (user, cut) pairs a stepwise pass with cross-user rows reads: each
+    test event's own cut, and for every test event and every user, the cut
+    holding that user's events strictly before it."""
+    times = [[e.t for e in ds.train[v] + ds.test[v]] for v in range(ds.n_users)]
+    own = {(u, len(ds.train[u]) + k) for u in range(ds.n_users) for k in range(len(ds.test[u]))}
+    return own | {(v, bisect_left(times[v], e.t)) for evs in ds.test for e in evs
+                  for v in range(ds.n_users)}
 
 
 class TestOnePass:
@@ -355,8 +370,7 @@ class TestOnePass:
             return wrapper
 
         for key, net in zip(("user_rows", "poi_rows"), nets):
-            monkeypatch.setattr(net, "score_rows_at_cuts",
-                                counting(key, net.score_rows_at_cuts, len))
+            monkeypatch.setattr(net, "score_cuts", counting(key, net.score_cuts, len))
         for key in ("adjust_user_scores", "adjust_poi_scores"):
             monkeypatch.setattr(association, key, counting(key, getattr(association, key)))
         return tally
@@ -373,8 +387,7 @@ class TestOnePass:
 
     @pytest.mark.parametrize("mode, user_rows", [
         ("static", lambda ds: ds.n_users),
-        ("stepwise", lambda ds: sum(len(ds.train[u]) + len(ds.test[u]) + 1
-                                    for u in range(ds.n_users)))], ids=["static", "stepwise"])
+        ("stepwise", lambda ds: len(cuts_read(ds)))], ids=["static", "stepwise"])
     def test_each_part_is_built_once(self, small_dataset, nets, counts, mode, user_rows):
         evaluate_variants(small_dataset, *nets, VARIANTS, s_u_mode=mode)
         assert counts == {"user_rows": user_rows(small_dataset),

@@ -1,20 +1,29 @@
 """Array code against the per-item code it replaced, kept here as oracles:
 the check-in parser and writer, ``association.truncate_top_k``, the
-set-based similarity builds and the record-view motivation statistics."""
+set-based similarity builds, the record-view motivation statistics,
+prediction one context at a time, the stepwise rows at every cut and
+ranking one row at a time."""
 
 import os
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc import association
+from nextloc import association, net
+from nextloc import autodiff as ad
 from nextloc.association import truncate_top_k
 from nextloc.data import (FORMATS, CheckIn, DataError, build_dataset, day_index,
                           format_timestamp, load_dataset, parse_checkin_file,
                           parse_timestamp, save_dataset, write_checkin_file)
-from nextloc.evaluate import STAT_KINDS, motivation_stats
+from nextloc.dataset import Events
+from nextloc.evaluate import (STAT_KINDS, VARIANTS, WIRING, FusionStrategy, _combine,
+                              _UserSideRows, evaluate_variants, motivation_stats,
+                              rank_of_truth, ranks_of_truths)
+from nextloc.poi_net import PoiNet
+from nextloc.user_net import UserNet
 
 
 # -- the per-line parser and the per-record writer ---------------------------------
@@ -370,3 +379,196 @@ def test_co_visit_counts_match_the_set_oracles(ds):
     pairs = {(e.user, e.poi) for evs in ds.train for e in evs}
     assert association.seen_in_training(ds, users, places).tolist() == \
         [(u, p) in pairs for u, p in zip(users.tolist(), places.tolist())]
+
+
+# -- prediction one context at a time, and the stepwise rows at every cut -----------
+
+def context_rows(model, events, context, cuts):
+    """Rows of one context's history at ``cuts``, as ``score_rows_at_cuts``
+    computed them before ``score_cuts``: the cell run over this history
+    alone, then every cut's recall and head at once."""
+    cuts = np.asarray(cuts, dtype=np.int64)
+    params = model.named_parameters()
+    n_candidates = model.w_out.shape[1]
+    rows = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
+    live = np.flatnonzero(cuts > 0)
+    if live.size == 0:
+        return rows
+    events = Events.of(events)
+    inputs = [(params[name], getattr(events, field).astype(np.intp)[None])
+              for field, name in model.step_inputs]
+    states = ad.recurrent_states(inputs, model._cell())[1][0]
+    last = cuts[live] - 1
+    if model.recall_fields:
+        width = int(last.max()) + 1
+        columns = [getattr(events, f).astype(np.float64)[None, :width]
+                   for f in model.recall_fields]
+        agg = model._recall(last, *columns) @ states[:width]
+    else:
+        agg = states[last]
+    ctx = params[model.context_input[1]].values[context]
+    _, probs, _ = ad.output_softmax(agg, np.broadcast_to(ctx, (live.size, ctx.size)),
+                                    (model.w_out, model.b_out))
+    rows[live] = probs.T
+    return rows
+
+
+def per_context_score_matrix(model, ds):
+    """``predict_score_matrix`` one context at a time."""
+    g = getattr(ds, model.grouping)
+    return np.stack([context_rows(model, ds.events.take(g.history(c)), c,
+                                  [g.train_counts[c]])[0]
+                     for c in range(g.train_counts.size)])
+
+
+def all_cuts_walk(ds, user_net, corr_u, read=None):
+    """The stepwise user-side rows computed at every cut of every user and
+    walked one instance at a time: yields (instance, own row, adjusted row
+    or None), the instances numbered as ``_UserSideRows`` numbers them.
+    Adds each (user, cut) it reads to the set ``read``, if given."""
+    read = set() if read is None else read
+    g, events = ds.by_user, ds.events
+    owner, rank, in_train = g.positions()
+    users, times = owner[~in_train], events.t[g.order[~in_train]]
+    cut_rows = [context_rows(user_net, events.take(g.history(u, train_only=False)), u,
+                             range(g.offsets[u + 1] - g.offsets[u] + 1))
+                for u in range(ds.n_users)]
+    own = rank[~in_train]
+    read.update(zip(users.tolist(), own.tolist()))
+    if corr_u is None:
+        for i, (u, cut) in enumerate(zip(users.tolist(), own.tolist())):
+            yield i, cut_rows[u][cut], None
+        return
+    history_times = [events.t[g.history(u, train_only=False)].tolist()
+                     for u in range(ds.n_users)]
+    for i in np.argsort(times, kind="stable").tolist():
+        u, t = users[i], times[i]
+        cuts = [bisect_left(history_times[v], t) for v in range(ds.n_users)]
+        read.update(enumerate(cuts))
+        current = np.stack([cut_rows[v][cut] for v, cut in enumerate(cuts)])
+        vec = corr_u[u] @ current
+        total = vec.sum()
+        yield i, cut_rows[u][own[i]], (vec / total if total > 0 else vec)
+
+
+def oracle_ranks(ds, user_net, poi_net, corr_u, corr_l, mode):
+    """Each user-side variant's ranks, one instance and one row at a time."""
+    s_l = per_context_score_matrix(poi_net, ds)
+    s_l_adj = association.adjust_poi_scores(corr_l, s_l)
+    owner, _, in_train = ds.by_user.positions()
+    users = owner[~in_train]
+    places = ds.events.poi[ds.by_user.order[~in_train]]
+    if mode == "static":
+        static = per_context_score_matrix(user_net, ds)
+        static_adj = association.adjust_user_scores(corr_u, static)
+        walk = ((i, static[u], static_adj[u]) for i, u in enumerate(users.tolist()))
+    else:
+        walk = all_cuts_walk(ds, user_net, corr_u)
+    ranks = {v: [0] * users.size for v in VARIANTS if WIRING[v].user_net}
+    for i, own, adjusted in walk:
+        u = users[i]
+        for variant in ranks:
+            wiring = WIRING[variant]
+            row = adjusted if wiring.user_adj else own
+            if wiring.poi_net:
+                row = _combine(row, (s_l_adj if wiring.poi_adj else s_l)[:, u],
+                               FusionStrategy())
+            ranks[variant][i] = rank_by_counting(row, int(places[i]))
+    return ranks
+
+
+def rank_by_counting(scores, truth):
+    """``rank_of_truth`` as it was before block ranking."""
+    s = scores[truth]
+    better = int(np.count_nonzero(scores > s))
+    tied_before = int(np.count_nonzero((scores == s) & (np.arange(len(scores)) < truth)))
+    return better + tied_before + 1
+
+
+def same_rows(got, want):
+    """Rows within 1e-12 of each other that rank the candidates alike."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(np.argsort(-got, axis=-1, kind="stable"),
+                          np.argsort(-want, axis=-1, kind="stable"))
+
+
+@st.composite
+def prediction_cases(draw):
+    """A tiny dataset, untrained networks for it, and the prediction block
+    and cell budget to score it with.
+
+    Times come from a few hours of a few days, so equal timestamps are
+    common, within one user and across users; one place is visited only by
+    user 0's first event (a one-event history) and one by nobody (a cold
+    place).  Now and then user 0 gets a history longer than ``CUT_BLOCK``.
+    Small blocks and budgets split the histories into several groups and
+    each group's pairs into several blocks."""
+    n_users = draw(st.integers(1, 4))
+    n_pois = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    records = []
+    for u in range(n_users):
+        n = (net.CUT_BLOCK + draw(st.integers(1, 20)) if u == 0 and draw(st.booleans())
+             else draw(st.integers(4, 12)))
+        t = 1_262_304_000 + 86400 * rng.integers(0, 4, n) + 3600 * rng.integers(8, 11, n)
+        records += [CheckIn(u, int(t[k]), float(40 + rng.uniform(0, 0.05)),
+                            float(-75 + rng.uniform(0, 0.05)), int(rng.integers(0, n_pois)))
+                    for k in range(n)]
+    first = min(r.t for r in records if r.user == 0)
+    records.append(CheckIn(0, first - 3600, 40.0, -75.0, n_pois))
+    ds = build_dataset(records, draw(st.sampled_from([0.5, 0.6, 0.8])), window=5,
+                       slots=draw(st.sampled_from([1, 4, 24])),
+                       user_raw=[f"u{u}" for u in range(n_users)],
+                       poi_raw=[f"p{p}" for p in range(n_pois + 2)])
+    user_net = UserNet(ds.n_users, ds.n_pois, dim=3, beta=1.0, seed=seed)
+    poi_net = PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots, dim=3, slot_dim=2, seed=seed)
+    cut_block = draw(st.sampled_from([1, 2, 5, net.CUT_BLOCK]))
+    budget = draw(st.sampled_from([1, 7, 40, net.CELL_BUDGET]))
+    return ds, user_net, poi_net, cut_block, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(prediction_cases())
+def test_grouped_prediction_matches_the_per_context_oracles(case):
+    ds, user_net, poi_net, cut_block, budget = case
+    assert ds.by_poi.train_counts[-1] == 0 and ds.by_poi.train_counts[-2] == 1
+    corr_u, corr_l = association.user_similarity(ds), association.poi_similarity(ds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net, "CUT_BLOCK", cut_block)
+        mp.setattr(net, "CELL_BUDGET", budget)
+        for model in (user_net, poi_net):
+            same_rows(model.predict_score_matrix(ds), per_context_score_matrix(model, ds))
+        for corr in (None, corr_u):
+            read = set()
+            want = {i: (own, adjusted)
+                    for i, own, adjusted in all_cuts_walk(ds, user_net, corr, read)}
+            rows = _UserSideRows(ds, user_net, corr, "stepwise")
+            assert len(rows.cut_rows) == len(read)
+            walked = []
+            for idx, own, adjusted in rows.walk():
+                walked += idx.tolist()
+                same_rows(own, np.stack([want[i][0] for i in idx.tolist()]))
+                if corr is not None:
+                    same_rows(adjusted, np.stack([want[i][1] for i in idx.tolist()]))
+            assert sorted(walked) == list(range(len(want)))
+        for mode in ("stepwise", "static"):
+            got = evaluate_variants(ds, user_net, poi_net, ks=(1,), corr_u=corr_u,
+                                    corr_l=corr_l, s_u_mode=mode)
+            for variant, ranks in oracle_ranks(ds, user_net, poi_net, corr_u, corr_l,
+                                               mode).items():
+                assert got[variant]["ranks"] == ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**16))
+def test_block_ranks_match_one_row_ranking_on_ties(n_rows, n_candidates, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 3, (n_rows, n_candidates)) / 2.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[rng.random(rows.shape) < 0.1] = np.inf
+    truths = rng.integers(0, n_candidates, n_rows)
+    got = ranks_of_truths(rows, truths)
+    for row, truth, rank in zip(rows, truths.tolist(), got.tolist()):
+        assert rank == rank_by_counting(row, truth) == rank_of_truth(row, truth)
+        assert rank == np.argsort(-row, kind="stable").tolist().index(truth) + 1

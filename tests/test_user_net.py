@@ -1,12 +1,13 @@
 """Next-place network: decay recall, forward properties, training, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nextloc.data import SECONDS_PER_DAY, CheckIn, build_dataset
-from nextloc.net import CUT_BLOCK
+from nextloc.net import CELL_BUDGET, CUT_BLOCK
 from nextloc.poi_net import PoiNet
 from nextloc.user_net import UserNet, decay_weight, haversine_km
 
@@ -63,7 +64,8 @@ class TestHaversine:
 
 def window_recall(net, ts_days, lat, lon):
     """The recall seen from every step of (B, K) windows, times in days."""
-    return net._recall(np.arange(ts_days.shape[-1]), ts_days * SECONDS_PER_DAY, lat, lon)
+    return net._recall(np.arange(ts_days.shape[-1])[None], ts_days[:, None] * SECONDS_PER_DAY,
+                       lat[:, None], lon[:, None])
 
 
 class TestRecallAggregation:
@@ -205,6 +207,27 @@ class TestCutRows:
     def test_cut_outside_history_rejected(self, net, wandering, cut):
         with pytest.raises(ValueError, match="cuts"):
             net.score_rows_at_cuts(wandering, 1, [3, cut])
+
+
+def test_predict_score_matrix_memory_stays_bounded():
+    """One long history among many short ones: padding every context to the
+    longest would take over 25 MiB of states alone, while the cell budget
+    keeps the peak traced allocation of the whole call under 4 MiB."""
+    records = cycle_records(n_pois=8, n_events=3000)
+    for user in range(1, 300):
+        records += cycle_records(n_pois=8, n_events=5, user=user, start=1_000_000 + user)
+    ds = make_dataset(records)
+    net = UserNet(ds.n_users, ds.n_pois, dim=10, beta=1.0, seed=0)
+    padded_bytes = ds.n_users * ds.by_user.train_counts.max() * net.dim * 8
+    assert padded_bytes > 25 * 2**20 and ds.by_user.train_counts.max() < CELL_BUDGET
+    tracemalloc.start()
+    try:
+        scores = net.predict_score_matrix(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (300, 8)
+    assert peak < 4 * 2**20
 
 
 class TestTraining:
