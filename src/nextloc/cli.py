@@ -16,12 +16,12 @@ import time
 
 from . import association, evaluate
 from .autodiff import NumericsError
-from .config import (ConfigError, RunConfig, coerce_into, config_hash,
+from .config import (ConfigError, RunConfig, TrainSettings, coerce_into, config_hash,
                      load_run_config, parse_flat_file)
 from .data import (DataError, SyntheticSpec, build_dataset, filter_inactive_users,
                    filter_rare_pois, generate_synthetic, load_dataset,
                    parse_checkin_file, save_dataset)
-from .evaluate import VARIANTS, FusionStrategy, TrainSettings
+from .evaluate import VARIANTS, FusionStrategy
 from .poi_net import PoiNet
 from .user_net import UserNet
 
@@ -38,7 +38,7 @@ def _out_dir(arg, default_name):
 
 #: The RunConfig keys each command reads, and so records in its run.json.
 DATA_KEYS = ("format", "min_records", "min_poi_records", "split_ratio", "window", "slots")
-TRAIN_KEYS = ("dim", "slot_dim", "alpha", "beta", "epochs", "lr", "optimizer", "batch_size")
+TRAIN_KEYS = tuple(field.name for field in dataclasses.fields(TrainSettings))
 EVAL_KEYS = ("variant", "fusion", "top_ks", "s_u_mode")
 ABLATE_KEYS = ("fusion", "top_ks") + TRAIN_KEYS
 
@@ -65,18 +65,14 @@ def _write_manifest(out_dir, command, config, seeds=(), keys=None):
         f.write(f"{time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())} {command}\n")
 
 
-def _train_settings(cfg: RunConfig) -> TrainSettings:
-    return TrainSettings(dim=cfg.dim, slot_dim=cfg.slot_dim, alpha=cfg.alpha,
-                         beta=cfg.beta, epochs=cfg.epochs, lr=cfg.lr,
-                         optimizer=cfg.optimizer, batch_size=cfg.batch_size)
+def _config(args, keys) -> RunConfig:
+    """Defaults, then ``--config``, then the command's flags named by ``keys``
+    (a key without a flag on this command keeps the file's value)."""
+    return load_run_config(args.config, {key: getattr(args, key, None) for key in keys})
 
 
 def cmd_ingest(args) -> int:
-    cfg = load_run_config(args.config, {
-        "format": args.format, "min_records": args.min_records,
-        "min_poi_records": args.min_poi_records, "split_ratio": args.split_ratio,
-        "window": args.window, "slots": args.slots,
-    })
+    cfg = _config(args, DATA_KEYS)
     parsed = parse_checkin_file(args.input, cfg.format)
     result = filter_inactive_users(parsed.records, cfg.min_records)
     raw_users = {old: raw for raw, old in parsed.user_ids.items()}
@@ -121,22 +117,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, {
-        "dim": args.dim, "slot_dim": args.slot_dim, "alpha": args.alpha,
-        "beta": args.beta, "epochs": args.epochs, "lr": args.lr,
-        "optimizer": args.optimizer, "batch_size": args.batch_size,
-    })
+    cfg = _config(args, TRAIN_KEYS)
     dataset = load_dataset(args.data)
     out = _out_dir(args.out, "model")
     os.makedirs(out, exist_ok=True)
-    if args.net == "user":
-        net = UserNet(dataset.n_users, dataset.n_pois, cfg.dim,
-                      alpha=cfg.alpha, beta=cfg.beta, seed=args.seed)
-    else:
-        net = PoiNet(dataset.n_users, dataset.n_pois, n_slots=dataset.slots,
-                     dim=cfg.dim, slot_dim=cfg.slot_dim, seed=args.seed)
-    log = net.train(dataset, cfg.epochs, seed=args.seed, lr=cfg.lr,
-                    optimizer=cfg.optimizer, batch_size=cfg.batch_size)
+    net, log = evaluate.train_net(args.net, dataset, cfg, args.seed, args.seed)
     ckpt = os.path.join(out, f"{args.net}_net.ckpt")
     net.save(ckpt)
     with open(os.path.join(out, f"{args.net}_loss.txt"), "w", encoding="utf-8") as f:
@@ -175,10 +160,7 @@ def _load_net(cls, path, dataset):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args.config, {
-        "variant": args.variant, "fusion": args.fusion, "top_ks": args.ks,
-        "s_u_mode": args.s_u_mode,
-    })
+    cfg = _config(args, EVAL_KEYS)
     if cfg.variant not in VARIANTS + ("all",):
         raise ConfigError(f"unknown variant {cfg.variant!r}; "
                           f"expected one of {VARIANTS} or 'all'")
@@ -189,10 +171,10 @@ def cmd_evaluate(args) -> int:
                                     (wiring.poi_net, "--poi-ckpt", args.poi_ckpt)):
             if needed and not given:
                 raise ConfigError(f"variant {variant!r} needs {flag}")
+    fusion = FusionStrategy.parse(cfg.fusion)
     dataset = load_dataset(args.data)
     user_net = _load_net(UserNet, args.user_ckpt, dataset) if args.user_ckpt else None
     poi_net = _load_net(PoiNet, args.poi_ckpt, dataset) if args.poi_ckpt else None
-    fusion = FusionStrategy.parse(cfg.fusion)
     results = evaluate.evaluate_variants(dataset, user_net, poi_net, variants, fusion,
                                          cfg.top_ks, s_u_mode=cfg.s_u_mode)
     out = _out_dir(args.out, "report")
@@ -209,9 +191,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config, {
-        "fusion": args.fusion, "epochs": args.epochs, "lr": args.lr,
-    })
+    cfg = _config(args, ABLATE_KEYS)
+    fusion = FusionStrategy.parse(cfg.fusion)
     if args.spec:
         source = coerce_into(SyntheticSpec, parse_flat_file(args.spec))
     elif args.data:
@@ -221,18 +202,14 @@ def cmd_ablate(args) -> int:
     else:
         raise ConfigError("ablate needs --data, --spec, or --showcase")
     seeds = [int(s) for s in args.seeds.split(",")]
-    fusion = FusionStrategy.parse(cfg.fusion)
     if args.showcase:
         if not isinstance(source, SyntheticSpec):
             raise ConfigError("--showcase runs on a synthetic spec, not --data")
-        tuned = (_train_settings(cfg)
-                 if args.epochs is not None or args.lr is not None or args.config
-                 else None)
+        tuned = cfg if args.epochs is not None or args.lr is not None or args.config else None
         reports = evaluate.synthetic_battery(source, VARIANTS, fusion, seeds,
                                              tuned, ks=cfg.top_ks)
     else:
-        reports = evaluate.run_battery(source, VARIANTS, fusion, seeds,
-                                       _train_settings(cfg), ks=cfg.top_ks)
+        reports = evaluate.run_battery(source, VARIANTS, fusion, seeds, cfg, ks=cfg.top_ks)
     out = _out_dir(args.out, "ablation")
     os.makedirs(out, exist_ok=True)
     lines = []
@@ -346,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poi-ckpt")
     p.add_argument("--variant", default=None, help="one of %s or 'all'" % (VARIANTS,))
     p.add_argument("--fusion", default=None)
-    p.add_argument("--ks", default=None, help="comma list, default 1,5,10")
+    p.add_argument("--ks", dest="top_ks", default=None, help="comma list, default 1,5,10")
     p.add_argument("--s-u-mode", choices=("stepwise", "static"), default=None)
     p.add_argument("--config")
     p.add_argument("--out")

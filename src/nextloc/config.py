@@ -8,6 +8,7 @@ back to a default.
 import dataclasses
 import hashlib
 import json
+import math
 
 
 class ConfigError(ValueError):
@@ -36,21 +37,27 @@ def _int_tuple(text):
 
 
 @dataclasses.dataclass
-class RunConfig:
+class TrainSettings:
+    """What training both networks reads: their sizes, the user side's decay
+    rates (alpha per day, beta per km) and the optimiser's settings."""
+    dim: int = 10
+    slot_dim: int = 4
+    alpha: float = 0.1
+    beta: float = 100.0
+    epochs: int = 150
+    lr: float = 1e-3
+    optimizer: str = "adam"
+    batch_size: int | None = None
+
+
+@dataclasses.dataclass
+class RunConfig(TrainSettings):
     format: str = "gowalla"
     min_records: int = 100
     min_poi_records: int = 0        # 0 disables the optional place filter
     split_ratio: float = 0.8
     window: int = 20
     slots: int = 24
-    dim: int = 10
-    slot_dim: int = 4
-    alpha: float = 0.1
-    beta: float = 100.0
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    epochs: int = 150
-    batch_size: int | None = None
     fusion: str = "maxpool"
     variant: str = "full"
     top_ks: tuple = (1, 5, 10)
@@ -112,6 +119,8 @@ def load_run_config(file_path=None, overrides: dict | None = None) -> RunConfig:
     cfg = coerce_into(RunConfig, merged, _CONVERTERS)
     if cfg.epochs < 0:
         raise ConfigError(f"epochs must be at least 0, got {cfg.epochs}")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ConfigError(f"lr must be finite and positive, got {cfg.lr}")
     if not cfg.top_ks or min(cfg.top_ks) < 1:
         raise ConfigError(f"top_ks must be one or more values of at least 1, got {cfg.top_ks}")
     return cfg

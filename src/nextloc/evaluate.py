@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import association
+from .config import TrainSettings
 from .data import DataError, Dataset, SyntheticSpec, generate_synthetic
 from .poi_net import PoiNet
 from .user_net import UserNet
@@ -55,18 +56,26 @@ class FusionStrategy:
     def __post_init__(self):
         if self.kind not in FUSION_KINDS:
             raise ValueError(f"unknown fusion kind {self.kind!r}; expected {FUSION_KINDS}")
-        if self.kind == "weighted_add":
-            if self.w_user < 0 or self.w_poi < 0 or abs(self.w_user + self.w_poi - 1.0) > 1e-9:
-                raise ValueError("weighted_add weights must be non-negative and sum to 1")
+        # Stated as what must hold, so that NaN or infinite weights fail it.
+        if self.kind == "weighted_add" and not (
+                self.w_user >= 0 and self.w_poi >= 0
+                and abs(self.w_user + self.w_poi - 1.0) <= 1e-9):
+            raise ValueError("weighted_add weights must be finite, non-negative and sum to 1")
 
     @classmethod
     def parse(cls, text: str) -> "FusionStrategy":
-        """E.g. "maxpool" or "weighted_add:0.7,0.3"."""
-        if ":" in text:
-            kind, _, args = text.partition(":")
-            w_user, w_poi = (float(x) for x in args.split(","))
-            return cls(kind, w_user, w_poi)
-        return cls(text)
+        """E.g. "maxpool" or "weighted_add:0.7,0.3": only weighted_add takes
+        weights, exactly two."""
+        kind, colon, args = text.partition(":")
+        if not colon:
+            return cls(text)
+        weights = args.split(",")
+        if kind != "weighted_add" or len(weights) != 2:
+            raise ValueError(f"bad fusion {text!r}: only weighted_add takes weights, exactly two")
+        try:
+            return cls(kind, *(float(w) for w in weights))
+        except ValueError as exc:
+            raise ValueError(f"bad fusion {text!r}: {exc}") from exc
 
     def label(self) -> str:
         if self.kind == "weighted_add":
@@ -283,6 +292,13 @@ def check_fits(dataset: Dataset, net: UserNet | PoiNet) -> None:
                         f"the dataset has {dataset.slots}")
 
 
+def check_has_test_events(dataset: Dataset) -> None:
+    """Refuse a dataset whose split keeps every event for training."""
+    if dataset.by_user.train_counts.sum() == len(dataset.events):
+        raise DataError(f"no test events to evaluate: split ratio {dataset.split_ratio} "
+                        "keeps every event for training")
+
+
 def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNet | None,
                        variant: str = "full", fusion: FusionStrategy = FusionStrategy(),
                        ks=(1, 5, 10), corr_u: np.ndarray | None = None,
@@ -328,9 +344,7 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
             check_fits(dataset, net)
     if s_u_mode not in ("stepwise", "static"):
         raise ValueError(f"unknown user-side mode {s_u_mode!r}")
-    if dataset.by_user.train_counts.sum() == len(dataset.events):
-        raise DataError(f"no test events to evaluate: split ratio {dataset.split_ratio} "
-                        "keeps every event for training")
+    check_has_test_events(dataset)
 
     # Each part that some requested variant reads.
     used = Wiring(*(any(getattr(WIRING[v], f) for v in variants) for f in Wiring._fields))
@@ -405,18 +419,6 @@ def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
 # -- multi-seed reports -------------------------------------------------------
 
 @dataclasses.dataclass
-class TrainSettings:
-    dim: int = 10
-    slot_dim: int = 4
-    alpha: float = 0.1
-    beta: float = 100.0
-    epochs: int = 150
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    batch_size: int | None = None
-
-
-@dataclasses.dataclass
 class EvalReport:
     variant: str
     fusion: str
@@ -451,17 +453,25 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def train_net(kind: str, dataset: Dataset, settings: TrainSettings, init_seed, seed: int):
+    """The ``kind`` ("user" or "poi") network for ``dataset``, initialised from
+    ``init_seed`` and trained under ``settings`` from ``seed``, and its loss log."""
+    if kind == "user":
+        net = UserNet(dataset.n_users, dataset.n_pois, settings.dim,
+                      alpha=settings.alpha, beta=settings.beta, seed=init_seed)
+    else:
+        net = PoiNet(dataset.n_users, dataset.n_pois, n_slots=dataset.slots,
+                     dim=settings.dim, slot_dim=settings.slot_dim, seed=init_seed)
+    log = net.train(dataset, settings.epochs, seed=seed, lr=settings.lr,
+                    optimizer=settings.optimizer, batch_size=settings.batch_size)
+    return net, log
+
+
 def train_nets(dataset: Dataset, settings: TrainSettings, seed: int):
     """Train both networks with independent streams derived from one seed."""
     u_seed, p_seed = np.random.SeedSequence(seed).spawn(2)
-    user_net = UserNet(dataset.n_users, dataset.n_pois, settings.dim,
-                       alpha=settings.alpha, beta=settings.beta, seed=u_seed)
-    user_log = user_net.train(dataset, settings.epochs, seed=seed, lr=settings.lr,
-                              optimizer=settings.optimizer, batch_size=settings.batch_size)
-    poi_net = PoiNet(dataset.n_users, dataset.n_pois, n_slots=dataset.slots,
-                     dim=settings.dim, slot_dim=settings.slot_dim, seed=p_seed)
-    poi_log = poi_net.train(dataset, settings.epochs, seed=seed, lr=settings.lr,
-                            optimizer=settings.optimizer, batch_size=settings.batch_size)
+    user_net, user_log = train_net("user", dataset, settings, u_seed, seed)
+    poi_net, poi_log = train_net("poi", dataset, settings, p_seed, seed)
     return user_net, poi_net, {"user": user_log, "poi": poi_log}
 
 
@@ -473,7 +483,8 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
     ``evaluate_variants`` pass.
 
     ``source`` is either a fixed Dataset (seeds vary initialization/training)
-    or a SyntheticSpec (each seed generates its own dataset too).  The
+    or a SyntheticSpec (each seed generates its own dataset too); a dataset
+    without test events is refused before any training.  The
     association knobs (``same_day``, ``top_k_users``, ``top_k_pois``) and the
     row protocol are shared by every variant so the comparison stays
     apples-to-apples.
@@ -482,6 +493,7 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
     for seed in seeds:
         dataset = (generate_synthetic(source, seed)
                    if isinstance(source, SyntheticSpec) else source)
+        check_has_test_events(dataset)
         user_net, poi_net, _ = train_nets(dataset, settings, seed)
         corr_u = association.user_similarity(dataset, same_day=same_day,
                                              top_k=top_k_users)

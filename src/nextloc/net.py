@@ -193,6 +193,7 @@ class WindowNet:
 
     # -- prediction ----------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def score_cuts(self, histories, owners, cuts, contexts=None) -> np.ndarray:
         """Probability rows of the next target for (history, cut) pairs.
 
@@ -209,6 +210,9 @@ class WindowNet:
         then scored in ascending-cut blocks of ``CUT_BLOCK``.  So besides the
         result, memory stays O(CELL_BUDGET + CUT_BLOCK x width) rows of
         states, width being the longest history read.
+
+        A block whose rows are not all finite (parameters that overflow)
+        raises NumericsError, so numpy's warnings on the way are silenced.
         """
         events, rows, offsets = histories
         owners = np.asarray(owners, dtype=np.intp)
@@ -263,6 +267,8 @@ class WindowNet:
                 else:
                     agg = states[at, last]
                 _, probs, _ = ad.output_softmax(agg, ctx[at], (self.w_out, self.b_out))
+                if not np.isfinite(probs).all():
+                    raise ad.NumericsError(f"non-finite scores from the {self.description}")
                 out[idx] = probs.T
         return out
 

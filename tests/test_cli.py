@@ -1,5 +1,6 @@
 """End-to-end driver tests: every subcommand through cli.main."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from nextloc import autodiff as ad
 from nextloc.config import (ConfigError, RunConfig, coerce_into, config_hash,
                             load_run_config, parse_flat_file)
 from nextloc.data import SyntheticSpec, format_timestamp, load_dataset
+from nextloc.net import WindowNet
 from nextloc.poi_net import PoiNet
 from nextloc.user_net import UserNet
 
@@ -87,6 +89,23 @@ def bad_user_ckpts(model_dir, tmp_path_factory):
     return {"wrong_kind": (model_dir / "poi_net.ckpt", "not a next-place"),
             "not_a_checkpoint": (text, "not a checkpoint"),
             "wrong_shape": (shape, "b_out")}
+
+
+@pytest.fixture(scope="module")
+def unusable_ckpts(data_dir, model_dir, tmp_path_factory):
+    """Checkpoints whose scores are not finite: both networks after one step
+    at lr 1e300 (finite parameters that overflow), and both with every
+    parameter NaN."""
+    out = tmp_path_factory.mktemp("unusable")
+    (out / "nan").mkdir()
+    for net in ("user", "poi"):
+        assert cli.main(["train", "--data", str(data_dir), "--net", net, "--epochs", "1",
+                         "--lr", "1e300", "--dim", "4", "--out", str(out / "overflow")]) == 0
+        nan_net = (UserNet if net == "user" else PoiNet).load(model_dir / f"{net}_net.ckpt")
+        for tensor in nan_net.parameters():
+            tensor.values[...] = np.nan
+        nan_net.save(out / "nan" / f"{net}_net.ckpt")
+    return {case: out / case for case in ("overflow", "nan")}
 
 
 class TestSynth:
@@ -330,6 +349,14 @@ class TestTrain:
         assert not (out / f"{net}_net.ckpt").exists()
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.01"])
+    def test_lr_not_finite_and_positive_is_usage_error(self, data_dir, tmp_path, capsys, lr):
+        out = tmp_path / "m"
+        assert cli.main(["train", "--data", str(data_dir), "--net", "user", "--epochs", "1",
+                         "--dim", "4", "--lr", lr, "--out", str(out)]) == cli.EXIT_USAGE
+        assert "lr must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
         out = tmp_path / "init"
         assert cli.main(["train", "--data", str(data_dir), "--net", "user",
@@ -487,6 +514,37 @@ class TestEvaluate:
                          "--out", str(tmp_path / "r")]) == cli.EXIT_USAGE
         assert "unknown config key 's_l_mode'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fusion", ["weighted_add:nan,nan", "weighted_add:inf,-inf",
+                                        "maxpool:7,9", "weighted_add:0.7",
+                                        "weighted_add:0.7,0.3,0", "weighted_add:a,b"])
+    def test_bad_fusion_text_is_usage_error(self, data_dir, model_dir, tmp_path, capsys,
+                                            fusion):
+        """Weights go only with weighted_add, exactly two finite ones; the
+        text is checked before the dataset is read."""
+        nets = ["--user-ckpt", str(model_dir / "user_net.ckpt"),
+                "--poi-ckpt", str(model_dir / "poi_net.ckpt"), "--fusion", fusion]
+        for data in (data_dir, tmp_path / "absent"):
+            out = tmp_path / "r"
+            assert cli.main(["evaluate", "--data", str(data), *nets,
+                             "--out", str(out)]) == cli.EXIT_USAGE
+            assert repr(fusion) in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    @pytest.mark.parametrize("variant", ["user_net_only", "poi_net_only", "all"])
+    def test_non_finite_scores_are_numeric_error(self, data_dir, unusable_ckpts, tmp_path,
+                                                 capsys, case, variant):
+        """Rows that are not finite would rank every truth first; they end in
+        exit 4, and numpy's warnings (errors under this suite) stay silent."""
+        ckpts = unusable_ckpts[case]
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(ckpts / "user_net.ckpt"),
+                         "--poi-ckpt", str(ckpts / "poi_net.ckpt"),
+                         "--variant", variant, "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "non-finite scores" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ks", ["0", "1,-5", ","])
     def test_ks_below_one_is_usage_error(self, data_dir, model_dir, tmp_path, ks):
         assert cli.main(["evaluate", "--data", str(data_dir),
@@ -541,10 +599,16 @@ class TestAblate:
                          "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
         assert "unknown config key 'seeds'" in capsys.readouterr().err
 
-    def test_dataset_without_test_events_is_data_error(self, all_train, tmp_path, capsys):
+    def test_dataset_without_test_events_is_data_error(self, all_train, tmp_path, capsys,
+                                                       monkeypatch):
+        """Refused before any training, at the default 150 epochs."""
+        def train(*args, **kwargs):
+            raise AssertionError("trained a network on a dataset it must refuse")
+
+        monkeypatch.setattr(WindowNet, "train", train)
         out = tmp_path / "abl"
         assert cli.main(["ablate", "--data", str(all_train / "data"), "--seeds", "0",
-                         "--epochs", "1", "--out", str(out)]) == cli.EXIT_DATA
+                         "--out", str(out)]) == cli.EXIT_DATA
         assert "no test events" in capsys.readouterr().err
         assert not out.exists()
 
@@ -607,11 +671,67 @@ class TestCase:
             err = capsys.readouterr().err
             assert f"built for {built} time slots" in err and f"has {held}" in err
 
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    def test_non_finite_scores_are_numeric_error(self, data_dir, unusable_ckpts, tmp_path,
+                                                 capsys, case):
+        ckpts = unusable_ckpts[case]
+        out = tmp_path / "case"
+        assert cli.main(["case", "--data", str(data_dir),
+                         "--user-ckpt", str(ckpts / "user_net.ckpt"),
+                         "--poi-ckpt", str(ckpts / "poi_net.ckpt"),
+                         "--user", "u003", "--poi", "p007",
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "non-finite scores" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_raw_id(self, data_dir, model_dir, tmp_path):
         assert cli.main(["case", "--data", str(data_dir),
                          "--user-ckpt", str(model_dir / "user_net.ckpt"),
                          "--poi-ckpt", str(model_dir / "poi_net.ckpt"),
                          "--user", "u999", "--poi", "p007"]) == cli.EXIT_DATA
+
+
+#: Each command's run.json ``config_sha256`` at default settings: where a
+#: setting is declared must not change a manifest.
+DEFAULT_CONFIG_SHA256 = {
+    "ingest": "47f1477ce7d9bc4675b61c7aef0e32d2d6fae70e5d4783bf845362d7cb9c29be",
+    "train:user": "b9e8d037a5675eeab30b6395e0013aa0129e94005aa3d8d14f4b397a3e013b19",
+    "train:poi": "b9e8d037a5675eeab30b6395e0013aa0129e94005aa3d8d14f4b397a3e013b19",
+    "evaluate": "f47167c893bb514f46b114acba506c6bbd24598e5b014eb9e14676300a7b594b",
+    "ablate": "8f6c89f4826f5398be2909d1a5c077e04a8f15c1e0bd36728f3792a2c59ed7bc",
+}
+
+
+class TestManifests:
+    def test_default_config_hashes_are_pinned(self, tmp_path):
+        """ingest, train, evaluate and ablate at default settings, on 10
+        users of 100 check-ins over 12 places (enough candidates for the
+        default top-k)."""
+        raw = tmp_path / "raw.txt"
+        raw.write_text("".join(f"u{u}\t{format_timestamp(1_300_000_000 + (k * 10 + u) * 3600)}"
+                               f"\t40.{u}\t-75.{k % 9}\tL{(k + u) % 12}\n"
+                               for u in range(10) for k in range(100)))
+        data, model = tmp_path / "data", tmp_path / "model"
+        ckpts = ["--user-ckpt", str(model / "user_net.ckpt"),
+                 "--poi-ckpt", str(model / "poi_net.ckpt")]
+        runs = [("ingest", ["ingest", "--input", str(raw), "--out", str(data)], data),
+                ("train:user", ["train", "--data", str(data), "--net", "user",
+                                "--out", str(model)], model),
+                ("train:poi", ["train", "--data", str(data), "--net", "poi",
+                               "--out", str(model)], model),
+                ("evaluate", ["evaluate", "--data", str(data), *ckpts,
+                              "--out", str(tmp_path / "report")], tmp_path / "report"),
+                ("ablate", ["ablate", "--data", str(data), "--seeds", "0",
+                            "--out", str(tmp_path / "ablation")], tmp_path / "ablation")]
+        for command, argv, out in runs:
+            assert cli.main(argv) == 0
+            payload = json.loads((out / "run.json").read_text())
+            assert payload["command"] == command
+            assert payload["config_sha256"] == DEFAULT_CONFIG_SHA256[command]
+
+    def test_every_config_key_is_read_by_some_command(self):
+        read = set(cli.DATA_KEYS) | set(cli.TRAIN_KEYS) | set(cli.EVAL_KEYS) | set(cli.ABLATE_KEYS)
+        assert read == {field.name for field in dataclasses.fields(RunConfig)}
 
 
 class TestConfig:

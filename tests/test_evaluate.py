@@ -42,7 +42,8 @@ class TestFusionStrategy:
         with pytest.raises(ValueError, match="fusion kind"):
             FusionStrategy("geomean")
 
-    @pytest.mark.parametrize("w_user,w_poi", [(0.7, 0.7), (-0.2, 1.2), (1.0, 0.1)])
+    @pytest.mark.parametrize("w_user,w_poi", [(0.7, 0.7), (-0.2, 1.2), (1.0, 0.1),
+                                              (np.nan, np.nan), (np.inf, -np.inf)])
     def test_bad_weights_rejected(self, w_user, w_poi):
         with pytest.raises(ValueError, match="weights"):
             FusionStrategy("weighted_add", w_user, w_poi)
