@@ -487,12 +487,14 @@ def _check_grad(p: Tensor) -> None:
         raise NumericsError("non-finite gradient")
 
 
+#: The optimisers ``make_optimizer`` builds, by name.
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+
+
 def make_optimizer(kind: str, params: Iterable[Tensor], lr: float):
-    if kind == "sgd":
-        return Sgd(params, lr)
-    if kind == "adam":
-        return Adam(params, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](params, lr)
 
 
 # Checkpoint layout, version 1: the ASCII magic line below, then one entry per

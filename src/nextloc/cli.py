@@ -15,10 +15,10 @@ import sys
 import time
 
 from . import association, evaluate
-from .autodiff import NumericsError
+from .autodiff import OPTIMIZERS, NumericsError
 from .config import (ConfigError, RunConfig, TrainSettings, coerce_into, config_hash,
                      load_run_config, parse_flat_file)
-from .data import (DataError, SyntheticSpec, build_dataset, filter_inactive_users,
+from .data import (FORMATS, DataError, SyntheticSpec, build_dataset, filter_inactive_users,
                    filter_rare_pois, generate_synthetic, load_dataset,
                    parse_checkin_file, save_dataset)
 from .evaluate import VARIANTS, FusionStrategy
@@ -41,6 +41,9 @@ DATA_KEYS = ("format", "min_records", "min_poi_records", "split_ratio", "window"
 TRAIN_KEYS = tuple(field.name for field in dataclasses.fields(TrainSettings))
 EVAL_KEYS = ("variant", "fusion", "top_ks", "s_u_mode")
 ABLATE_KEYS = ("fusion", "top_ks") + TRAIN_KEYS
+#: The values each choice setting may take: the constants of the code that reads it.
+CHOICES = {"format": FORMATS, "optimizer": OPTIMIZERS, "s_u_mode": evaluate.ROW_MODES,
+           "variant": VARIANTS + ("all",)}
 
 
 def _write_manifest(out_dir, command, config, seeds=(), keys=None):
@@ -65,10 +68,17 @@ def _write_manifest(out_dir, command, config, seeds=(), keys=None):
         f.write(f"{time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())} {command}\n")
 
 
-def _config(args, keys) -> RunConfig:
-    """Defaults, then ``--config``, then the command's flags named by ``keys``
-    (a key without a flag on this command keeps the file's value)."""
-    return load_run_config(args.config, {key: getattr(args, key, None) for key in keys})
+def _config(args, keys, base=None) -> RunConfig:
+    """Defaults, ``base``, ``--config``, then the command's flags named by
+    ``keys`` (a key without a flag keeps the file's value), all checked."""
+    return load_run_config(args.config, {key: getattr(args, key, None) for key in keys},
+                           base, CHOICES)
+
+
+def _setting_flags(parser, keys) -> None:
+    """A text flag per key for ``_config``: the key with dashes, ``--ks`` for top_ks."""
+    for key in keys:
+        parser.add_argument("--ks" if key == "top_ks" else "--" + key.replace("_", "-"), dest=key)
 
 
 def cmd_ingest(args) -> int:
@@ -119,9 +129,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(args, TRAIN_KEYS)
     dataset = load_dataset(args.data)
+    net, log = evaluate.train_net(args.net, dataset, cfg, args.seed, args.seed)
+    net.predict_score_matrix(dataset)   # finite parameters can still overflow the scores
     out = _out_dir(args.out, "model")
     os.makedirs(out, exist_ok=True)
-    net, log = evaluate.train_net(args.net, dataset, cfg, args.seed, args.seed)
     ckpt = os.path.join(out, f"{args.net}_net.ckpt")
     net.save(ckpt)
     with open(os.path.join(out, f"{args.net}_loss.txt"), "w", encoding="utf-8") as f:
@@ -161,9 +172,6 @@ def _load_net(cls, path, dataset):
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args, EVAL_KEYS)
-    if cfg.variant not in VARIANTS + ("all",):
-        raise ConfigError(f"unknown variant {cfg.variant!r}; "
-                          f"expected one of {VARIANTS} or 'all'")
     variants = VARIANTS if cfg.variant == "all" else (cfg.variant,)
     for variant in variants:
         wiring = evaluate.WIRING[variant]
@@ -191,8 +199,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _config(args, ABLATE_KEYS)
+    cfg = _config(args, ABLATE_KEYS, evaluate.BATTERY_SETTINGS if args.showcase else None)
     fusion = FusionStrategy.parse(cfg.fusion)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.showcase and args.data:
+        raise ConfigError("--showcase runs on a synthetic spec, not --data")
     if args.spec:
         source = coerce_into(SyntheticSpec, parse_flat_file(args.spec))
     elif args.data:
@@ -201,15 +212,8 @@ def cmd_ablate(args) -> int:
         source = SyntheticSpec()
     else:
         raise ConfigError("ablate needs --data, --spec, or --showcase")
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if args.showcase:
-        if not isinstance(source, SyntheticSpec):
-            raise ConfigError("--showcase runs on a synthetic spec, not --data")
-        tuned = cfg if args.epochs is not None or args.lr is not None or args.config else None
-        reports = evaluate.synthetic_battery(source, VARIANTS, fusion, seeds,
-                                             tuned, ks=cfg.top_ks)
-    else:
-        reports = evaluate.run_battery(source, VARIANTS, fusion, seeds, cfg, ks=cfg.top_ks)
+    protocol = evaluate.BATTERY_PROTOCOL if args.showcase else {}
+    reports = evaluate.run_battery(source, VARIANTS, fusion, seeds, cfg, cfg.top_ks, **protocol)
     out = _out_dir(args.out, "ablation")
     os.makedirs(out, exist_ok=True)
     lines = []
@@ -274,12 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a raw check-in file into a dataset directory")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("gowalla", "foursquare"), default=None)
-    p.add_argument("--min-records", type=int, default=None)
-    p.add_argument("--min-poi-records", type=int, default=None)
-    p.add_argument("--split-ratio", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--slots", type=int, default=None)
+    _setting_flags(p, DATA_KEYS)
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ingest)
@@ -294,14 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one network on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--net", choices=("user", "poi"), required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--slot-dim", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    _setting_flags(p, TRAIN_KEYS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config")
     p.add_argument("--out")
@@ -321,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--user-ckpt")
     p.add_argument("--poi-ckpt")
-    p.add_argument("--variant", default=None, help="one of %s or 'all'" % (VARIANTS,))
-    p.add_argument("--fusion", default=None)
-    p.add_argument("--ks", dest="top_ks", default=None, help="comma list, default 1,5,10")
-    p.add_argument("--s-u-mode", choices=("stepwise", "static"), default=None)
+    _setting_flags(p, EVAL_KEYS)
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
@@ -336,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="planted-structure battery protocol: offline rows, "
                         "same-day top-3 user links, battery training settings")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--fusion", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    _setting_flags(p, ("fusion", "epochs", "lr"))
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ablate)

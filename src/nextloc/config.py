@@ -1,14 +1,16 @@
 """Flat key=value run configuration with strict keys and layered overrides.
 
-Precedence: command-line flags > config file > built-in defaults.  Unknown
-keys are an error rather than silently ignored, so a typo cannot quietly fall
-back to a default.
+Precedence: command-line flags > config file > a base layer (the showcase's
+battery settings) > built-in defaults.  Unknown keys are an error rather than
+silently ignored, so a typo cannot quietly fall back to a default.
 """
 
 import dataclasses
 import hashlib
 import json
 import math
+
+from .dataset import check_settings
 
 
 class ConfigError(ValueError):
@@ -66,6 +68,9 @@ class RunConfig(TrainSettings):
 
 #: Fields whose default's type cannot parse their text; the rest use it.
 _CONVERTERS = {"batch_size": _optional_int, "top_ks": _int_tuple}
+#: The least value of each integer setting (a None batch_size is full-batch).
+_AT_LEAST = {"min_records": 1, "min_poi_records": 0, "dim": 1, "slot_dim": 1, "epochs": 0,
+             "batch_size": 1}
 
 
 def parse_flat_file(path) -> dict:
@@ -109,20 +114,29 @@ def coerce_into(cls, mapping: dict, converters: dict | None = None):
     return cls(**values)
 
 
-def load_run_config(file_path=None, overrides: dict | None = None) -> RunConfig:
-    merged = {}
+def load_run_config(file_path=None, overrides: dict | None = None, base=None,
+                    choices: dict | None = None) -> RunConfig:
+    """The one reader of run settings: defaults, ``base`` (a dataclass of
+    RunConfig keys), the file, then ``overrides`` (None falls through), all
+    converted, then checked; ``choices`` maps a key to its allowed values."""
+    merged = dataclasses.asdict(base) if base is not None else {}
     if file_path:
         merged.update(parse_flat_file(file_path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged.update({key: value for key, value in (overrides or {}).items() if value is not None})
     cfg = coerce_into(RunConfig, merged, _CONVERTERS)
-    if cfg.epochs < 0:
-        raise ConfigError(f"epochs must be at least 0, got {cfg.epochs}")
+    for key, least in _AT_LEAST.items():
+        value = getattr(cfg, key)
+        if value is not None and value < least:
+            raise ConfigError(f"{key} must be at least {least}, got {value}")
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise ConfigError(f"lr must be finite and positive, got {cfg.lr}")
     if not cfg.top_ks or min(cfg.top_ks) < 1:
         raise ConfigError(f"top_ks must be one or more values of at least 1, got {cfg.top_ks}")
+    check_settings(cfg.split_ratio, cfg.window, cfg.slots)
+    for key, allowed in (choices or {}).items():
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}; "
+                              f"expected one of {', '.join(allowed)}")
     return cfg
 
 

@@ -39,6 +39,7 @@ WIRING = {
     "poi_net_only": Wiring(False, False, True, True),
 }
 VARIANTS = tuple(WIRING)
+ROW_MODES = ("stepwise", "static")      # user-side rows over test time; see _UserSideRows
 
 FUSION_KINDS = ("maxpool", "weighted_add", "multiply", "minpool", "sum")
 
@@ -342,7 +343,7 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
     for net in (user_net, poi_net):
         if net is not None:
             check_fits(dataset, net)
-    if s_u_mode not in ("stepwise", "static"):
+    if s_u_mode not in ROW_MODES:
         raise ValueError(f"unknown user-side mode {s_u_mode!r}")
     check_has_test_events(dataset)
 
@@ -518,13 +519,11 @@ BATTERY_SETTINGS = TrainSettings(epochs=150, lr=0.01, beta=1.0)
 def synthetic_battery(spec: SyntheticSpec | None = None, variants=VARIANTS,
                       fusion: FusionStrategy = FusionStrategy(),
                       seeds=(0, 1, 2, 3, 4),
-                      settings: TrainSettings | None = None,
+                      settings: TrainSettings = BATTERY_SETTINGS,
                       ks=(1, 5, 10)) -> dict[str, "EvalReport"]:
     """The planted-structure battery under the showcase protocol."""
     return run_battery(spec if spec is not None else SyntheticSpec(),
-                       variants, fusion, seeds,
-                       settings if settings is not None else BATTERY_SETTINGS,
-                       ks, **BATTERY_PROTOCOL)
+                       variants, fusion, seeds, settings, ks, **BATTERY_PROTOCOL)
 
 
 def single_report(variant: str, fusion: FusionStrategy, ks, result: dict) -> EvalReport:

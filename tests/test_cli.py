@@ -92,19 +92,18 @@ def bad_user_ckpts(model_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def unusable_ckpts(data_dir, model_dir, tmp_path_factory):
-    """Checkpoints whose scores are not finite: both networks after one step
-    at lr 1e300 (finite parameters that overflow), and both with every
-    parameter NaN."""
+def unusable_ckpts(model_dir, tmp_path_factory):
+    """Checkpoints whose scores are not finite: both trained networks with
+    every parameter scaled by 1e200 (finite parameters that overflow), and
+    both with every parameter NaN."""
     out = tmp_path_factory.mktemp("unusable")
-    (out / "nan").mkdir()
-    for net in ("user", "poi"):
-        assert cli.main(["train", "--data", str(data_dir), "--net", net, "--epochs", "1",
-                         "--lr", "1e300", "--dim", "4", "--out", str(out / "overflow")]) == 0
-        nan_net = (UserNet if net == "user" else PoiNet).load(model_dir / f"{net}_net.ckpt")
-        for tensor in nan_net.parameters():
-            tensor.values[...] = np.nan
-        nan_net.save(out / "nan" / f"{net}_net.ckpt")
+    for case, factor in (("overflow", 1e200), ("nan", np.nan)):
+        (out / case).mkdir()
+        for net in ("user", "poi"):
+            spoilt = (UserNet if net == "user" else PoiNet).load(model_dir / f"{net}_net.ckpt")
+            for tensor in spoilt.parameters():
+                tensor.values *= factor
+            spoilt.save(out / case / f"{net}_net.ckpt")
     return {case: out / case for case in ("overflow", "nan")}
 
 
@@ -356,6 +355,24 @@ class TestTrain:
                          "--dim", "4", "--lr", lr, "--out", str(out)]) == cli.EXIT_USAGE
         assert "lr must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("net", ["user", "poi"])
+    def test_overflowing_parameters_are_numeric_error(self, data_dir, tmp_path, capsys, net):
+        """One step at lr 1e300 leaves finite parameters whose scores
+        overflow: exit 4, and no checkpoint that evaluate would refuse."""
+        out = tmp_path / "m"
+        assert cli.main(["train", "--data", str(data_dir), "--net", net, "--epochs", "1",
+                         "--lr", "1e300", "--dim", "4", "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "non-finite scores" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_size_none_is_full_batch(self, data_dir, tmp_path):
+        """``--batch-size none`` reads as its config-file line does."""
+        common = ["train", "--data", str(data_dir), "--net", "user", "--epochs", "1",
+                  "--dim", "4"]
+        assert cli.main([*common, "--out", str(tmp_path / "default")]) == 0
+        assert cli.main([*common, "--batch-size", "none", "--out", str(tmp_path / "none")]) == 0
+        assert fingerprint(tmp_path / "default") == fingerprint(tmp_path / "none")
 
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
         out = tmp_path / "init"
@@ -700,6 +717,69 @@ DEFAULT_CONFIG_SHA256 = {
     "evaluate": "f47167c893bb514f46b114acba506c6bbd24598e5b014eb9e14676300a7b594b",
     "ablate": "8f6c89f4826f5398be2909d1a5c077e04a8f15c1e0bd36728f3792a2c59ed7bc",
 }
+
+
+#: (argv whose input does not exist, key, bad text, error text): a bad
+#: setting exits 2 before any input is read, given as a flag or in a file.
+BAD_SETTINGS = [
+    (["ingest", "--input", "{absent}"], "format", "foo", "unknown format 'foo'"),
+    (["ingest", "--input", "{absent}"], "min_records", "0",
+     "min_records must be at least 1, got 0"),
+    (["ingest", "--input", "{absent}"], "min_poi_records", "-5",
+     "min_poi_records must be at least 0, got -5"),
+    (["ingest", "--input", "{absent}"], "window", "1", "window must be an integer >= 2"),
+    (["train", "--data", "{absent}", "--net", "user"], "optimizer", "foo",
+     "unknown optimizer 'foo'"),
+    (["train", "--data", "{absent}", "--net", "user"], "dim", "0",
+     "dim must be at least 1, got 0"),
+    (["train", "--data", "{absent}", "--net", "user"], "dim", "-2",
+     "dim must be at least 1, got -2"),
+    (["train", "--data", "{absent}", "--net", "poi"], "slot_dim", "0",
+     "slot_dim must be at least 1, got 0"),
+    (["train", "--data", "{absent}", "--net", "user"], "epochs", "ten", "bad value for 'epochs'"),
+    (["evaluate", "--data", "{absent}"], "s_u_mode", "foo", "unknown s_u_mode 'foo'"),
+    (["evaluate", "--data", "{absent}"], "variant", "oracle", "unknown variant 'oracle'"),
+    (["evaluate", "--data", "{absent}"], "top_ks", "0", "top_ks must be"),
+    (["ablate", "--showcase"], "lr", "0", "lr must be finite and positive"),
+]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("argv, key, text, message", BAD_SETTINGS,
+                             ids=[f"{a[0]}-{k}={t}" for a, k, t, _ in BAD_SETTINGS])
+    def test_flag_and_file_fail_alike_before_input(self, tmp_path, capsys, argv, key, text,
+                                                   message):
+        argv = [arg.format(absent=tmp_path / "absent") for arg in argv]
+        flag = "--ks" if key == "top_ks" else "--" + key.replace("_", "-")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {text}\n")
+        errors = []
+        for given in ([flag, text], ["--config", str(conf)]):
+            out = tmp_path / "out"
+            assert cli.main([*argv, *given, "--out", str(out)]) == cli.EXIT_USAGE
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and message in errors[0]
+
+    def test_showcase_records_the_battery_settings_that_trained(self, tmp_path):
+        out = tmp_path / "abl"
+        assert cli.main(["ablate", "--showcase", "--seeds", "0", "--epochs", "1",
+                         "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert (config["lr"], config["beta"], config["epochs"]) == (0.01, 1.0, 1)
+        trained = cli.evaluate.synthetic_battery(
+            seeds=(0,), settings=dataclasses.replace(cli.evaluate.BATTERY_SETTINGS, epochs=1))
+        assert (out / "report_full.json").read_text() == trained["full"].to_json()
+
+    def test_showcase_config_file_matches_flags(self, tmp_path):
+        conf = tmp_path / "c.conf"
+        conf.write_text("fusion = minpool\nepochs = 1\n")
+        showcase = ["ablate", "--showcase", "--seeds", "0"]
+        assert cli.main([*showcase, "--fusion", "minpool", "--epochs", "1",
+                         "--out", str(tmp_path / "flags")]) == 0
+        assert cli.main([*showcase, "--config", str(conf), "--out", str(tmp_path / "file")]) == 0
+        assert fingerprint(tmp_path / "flags") == fingerprint(tmp_path / "file")
 
 
 class TestManifests:
