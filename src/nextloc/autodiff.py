@@ -27,6 +27,11 @@ import numpy as np
 
 from .data import DataError
 
+#: Cells (candidates x rows) of one block of ``recurrent_window_loss``'s
+#: output layer, 8 MiB of float64: the head's memory does not grow with the
+#: rows of a batch.
+HEAD_CELLS = 1 << 20
+
 
 class NumericsError(RuntimeError):
     """Non-finite value encountered in a forward pass or gradient."""
@@ -291,7 +296,9 @@ def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor]
     Each aggregated state (N, D) is joined with its context row (N, Dc) and
     mapped by ``head`` (``w_out``, ``b_out``) to logits over the candidates,
     normalised by softmax.  The logits are candidate-major and turned into the
-    softmax in place, so one (C, N) array lives on; reducing over axis 0 runs
+    softmax in place, so the (C, N) softmax is the only array of that size,
+    and callers bound N (``recurrent_window_loss`` by ``HEAD_CELLS``,
+    ``WindowNet.score_cuts`` by ``CUT_BLOCK``); reducing over axis 0 runs
     across all rows at once.  Returns the features (N, D + Dc), the softmax
     (C, N) and, given ``targets`` (N,), each row's cross-entropy, taken from
     the shifted logits rather than the log of the softmax.
@@ -324,6 +331,11 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     ``targets`` (B, K) over the rows where ``mask`` (B, K) is true; each
     window's valid steps are a prefix, so padding after them reaches no valid
     row.  One tape node, whose backward is backpropagation through time.
+
+    The head scores the rows in blocks of ``HEAD_CELLS // candidates``; when
+    a tape records, each block forms its part of the head's gradient at once
+    and its softmax is dropped.  So besides the batch's states, memory stays
+    O(HEAD_CELLS + rows x features).
     Overflow on the way only shows as a non-finite loss or gradient, which
     raises NumericsError, so numpy's warnings about it are silenced.
     """
@@ -334,32 +346,50 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     _check_ids(table, ids)
     y = np.asarray(targets, dtype=np.intp)[mask]
     n_rows = y.size
-    if y.size and (y.min() < 0 or y.max() >= w_out.shape[1]):
-        raise ValueError(f"target index out of range for {w_out.shape[1]} classes")
+    n_candidates = w_out.shape[1]
+    if y.size and (y.min() < 0 or y.max() >= n_candidates):
+        raise ValueError(f"target index out of range for {n_candidates} classes")
     x, states = recurrent_states(inputs, cell)
-    agg = states if recall is None else recall @ states
+    agg = (states if recall is None else recall @ states)[mask]
     ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
-    features, probs, nll = output_softmax(agg[mask], ctx, head, y)
+    params = [t for t, _ in inputs] + [table, *cell, *head]
+    record = tape is not None and any(t.requires_grad for t in params)
+    # The head's gradient at a loss gradient of 1: w_outᵀ, b_out, and the
+    # features at each (window, step), zero at padded steps.
+    n_features = agg.shape[1] + ctx.shape[1]
+    if record:
+        d_w_out = np.zeros((n_candidates, n_features))
+        d_b_out = np.zeros(n_candidates)
+        d_full = np.zeros(mask.shape + (n_features,))
+        cells = np.flatnonzero(mask)
+    nll = np.empty(n_rows)
+    step = max(1, HEAD_CELLS // n_candidates)
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        features, g, nll_rows = output_softmax(agg[rows], ctx[rows], head, y[rows])
+        nll[rows] = nll_rows
+        if record:
+            g[y[rows], np.arange(features.shape[0])] -= 1.0
+            g *= 1.0 / n_rows
+            d_w_out += g @ features
+            d_b_out += g.sum(axis=1)
+            d_full.reshape(-1, n_features)[cells[rows]] = (w_out.values @ g).T
     loss_value = float(np.mean(nll))
     if not math.isfinite(loss_value):
         raise NumericsError("non-finite value in recurrent_window_loss")
-    tables = [t for t, _ in inputs] + [context[0]]
-    out = _make_output(np.float64(loss_value), tables + [*cell, *head])
-    if tape is None or not out.requires_grad:
+    out = _make_output(np.float64(loss_value), params)
+    if not record:
         return out
     dim = states.shape[2]
 
     @np.errstate(over="ignore", invalid="ignore")
     def backward():
-        g = probs
-        g[y, np.arange(n_rows)] -= 1.0
-        g *= float(out.grad) / n_rows
+        d_loss = float(out.grad)
         if w_out.requires_grad:
-            w_out.grad += (g @ features).T
+            w_out.grad += (d_w_out * d_loss).T
         if b_out.requires_grad:
-            b_out.grad += g.sum(axis=1).reshape(b_out.shape)
-        d_full = np.zeros(mask.shape + (features.shape[1],))
-        d_full[mask] = (w_out.values @ g).T
+            b_out.grad += (d_b_out * d_loss).reshape(b_out.shape)
+        np.multiply(d_full, d_loss, out=d_full)
         table, ids = context
         if table.requires_grad:
             _scatter_rows(table.grad, ids, d_full[:, :, dim:].sum(axis=1))

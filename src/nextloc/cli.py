@@ -75,6 +75,19 @@ def _config(args, keys, base=None) -> RunConfig:
                            base, CHOICES)
 
 
+def _seeds(text: str, flag: str, many: bool = True) -> list[int]:
+    """The seeds ``flag`` gives (comma-separated when ``many``), checked
+    before any input is read: non-negative integers."""
+    try:
+        seeds = [int(part) for part in (text.split(",") if many else [text])]
+    except ValueError:
+        seeds = [-1]
+    if min(seeds) < 0:
+        wanted = "non-negative integers" if many else "a non-negative integer"
+        raise ConfigError(f"{flag} expects {wanted}, got {text!r}")
+    return seeds
+
+
 def _setting_flags(parser, keys) -> None:
     """A text flag per key for ``_config``: the key with dashes, ``--ks`` for top_ks."""
     for key in keys:
@@ -109,6 +122,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    seed, = _seeds(args.seed, "--seed", many=False)
     mapping = parse_flat_file(args.spec) if args.spec else {}
     for item in args.set or []:
         key, _, value = item.partition("=")
@@ -116,20 +130,21 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         mapping[key.strip()] = value.strip()
     spec = coerce_into(SyntheticSpec, mapping)
-    dataset = generate_synthetic(spec, args.seed)
+    dataset = generate_synthetic(spec, seed)
     out = _out_dir(args.out, "synthetic")
     save_dataset(dataset, out)
-    _write_manifest(out, "synth", spec, seeds=[args.seed])
+    _write_manifest(out, "synth", spec, seeds=[seed])
     print(f"users={dataset.n_users} pois={dataset.n_pois} events={len(dataset.events)} "
-          f"clone_pairs={len(dataset.meta.get('clone_pairs', []))} seed={args.seed}")
+          f"clone_pairs={len(dataset.meta.get('clone_pairs', []))} seed={seed}")
     print(f"dataset written to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
+    seed, = _seeds(args.seed, "--seed", many=False)
     cfg = _config(args, TRAIN_KEYS)
     dataset = load_dataset(args.data)
-    net, log = evaluate.train_net(args.net, dataset, cfg, args.seed, args.seed)
+    net, log = evaluate.train_net(args.net, dataset, cfg, seed, seed)
     net.predict_score_matrix(dataset)   # finite parameters can still overflow the scores
     out = _out_dir(args.out, "model")
     os.makedirs(out, exist_ok=True)
@@ -138,7 +153,7 @@ def cmd_train(args) -> int:
     with open(os.path.join(out, f"{args.net}_loss.txt"), "w", encoding="utf-8") as f:
         for value in log:
             f.write(f"{value!r}\n")
-    _write_manifest(out, f"train:{args.net}", cfg, seeds=[args.seed], keys=TRAIN_KEYS)
+    _write_manifest(out, f"train:{args.net}", cfg, seeds=[seed], keys=TRAIN_KEYS)
     first = f"{log[0]:.6f}" if log else "n/a"
     last = f"{log[-1]:.6f}" if log else "n/a"
     print(f"trained {args.net} net: epochs={cfg.epochs} loss {first} -> {last}")
@@ -199,9 +214,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    seeds = _seeds(args.seeds, "--seeds")
     cfg = _config(args, ABLATE_KEYS, evaluate.BATTERY_SETTINGS if args.showcase else None)
     fusion = FusionStrategy.parse(cfg.fusion)
-    seeds = [int(s) for s in args.seeds.split(",")]
     if args.showcase and args.data:
         raise ConfigError("--showcase runs on a synthetic spec, not --data")
     if args.spec:
@@ -286,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
     p.add_argument("--spec", help="flat key=value file of generator settings")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_synth)
 
@@ -294,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--net", choices=("user", "poi"), required=True)
     _setting_flags(p, TRAIN_KEYS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)

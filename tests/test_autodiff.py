@@ -1,6 +1,7 @@
 """Unit tests for the tape-based differentiation layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,44 @@ class TestGradientCheck:
         combined = run([(2.0, 0), (3.0, 2)])
         separate = run([(2.0, 0)]) + run([(3.0, 2)])
         np.testing.assert_allclose(combined, separate, atol=1e-12)
+
+
+def traced_peak_of_window_loss(monkeypatch, budget):
+    """Traced peak bytes of one ``recurrent_window_loss`` and its backward on
+    64 windows of up to 5 steps over 2,000 candidates, and its row count."""
+    rng = np.random.default_rng(0)
+    n_windows, n_steps, dim, n_candidates = 64, 5, 4, 2000
+
+    def param(*shape):
+        return ad.Tensor(rng.normal(0.0, 0.1, shape), requires_grad=True)
+
+    table, context = param(50, dim), param(50, dim)
+    cell = (param(dim, dim), param(dim, dim), param(1, dim))
+    head = (param(2 * dim, n_candidates), param(1, n_candidates))
+    mask = np.arange(n_steps) < rng.integers(1, n_steps + 1, n_windows)[:, None]
+    ids = rng.integers(0, 50, (n_windows, n_steps))
+    targets = rng.integers(0, n_candidates, (n_windows, n_steps))
+    monkeypatch.setattr(ad, "HEAD_CELLS", budget)
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        loss = ad.recurrent_window_loss([(table, ids)], cell, (context, ids[:, 0]), head,
+                                        targets, mask, tape=tape)
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, int(mask.sum())
+
+
+def test_window_loss_head_memory_is_bounded_by_its_budget(monkeypatch):
+    """The (candidates x rows) softmax exists only one block at a time; with
+    a budget holding the whole batch, the peak shows that it is measured."""
+    peak, rows = traced_peak_of_window_loss(monkeypatch, 1 << 14)
+    whole_head = 2000 * rows * 8
+    assert peak < whole_head / 3
+    peak, _ = traced_peak_of_window_loss(monkeypatch, 2000 * rows)
+    assert peak > whole_head
 
 
 class TestOptimizers:

@@ -637,6 +637,29 @@ class TestAblate:
                          "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", *SMALL_SET, "--seed", "-1"], "--seed"),
+        (["synth", *SMALL_SET, "--seed", "1,2"], "--seed"),
+        (["train", "--data", "no-such-dir", "--net", "user", "--seed", "x"], "--seed"),
+        (["ablate", "--spec", "no-such-spec", "--seeds", "0,-1"], "--seeds"),
+        (["ablate", "--showcase", "--seeds", "0,x"], "--seeds"),
+        (["ablate", "--showcase", "--seeds", ""], "--seeds"),
+    ])
+    def test_bad_seed_is_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      argv, flag):
+        """Checked before the inputs are read (a missing --data or --spec would
+        be a data error) and before any training; nothing is written."""
+        def train(*args, **kwargs):
+            raise AssertionError("trained before the seeds were checked")
+
+        monkeypatch.setattr(WindowNet, "train", train)
+        out = tmp_path / "x"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"error: {flag} expects" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStats:
     def test_all_kinds_written(self, data_dir, tmp_path):
         out = tmp_path / "stats"

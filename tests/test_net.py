@@ -151,3 +151,73 @@ def test_context_id_outside_the_table_is_rejected(small_dataset, kind):
     for context in (-1, len(history)):
         with pytest.raises(ValueError, match="context"):
             net.score_rows_at_cuts(history[0], context, [len(history[0])])
+
+
+def loss_and_grads(net, windows):
+    """The loss of ``windows`` on a fresh tape, and every parameter's gradient."""
+    for t in net.parameters():
+        t.zero_grad()
+    tape = ad.Tape()
+    loss = net.window_loss(windows, tape)
+    tape.backward(loss)
+    return float(loss.values), {name: t.grad.copy() for name, t in net.named_parameters().items()}
+
+
+def blocked_case(ds, kind):
+    net = NETS[kind](ds)
+    pool = window_pool(ds, net)
+    return net, mixed_windows(pool, count=4) + [pool[0], pool[-1]]
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_head_blocks_agree_with_one_block(small_dataset, kind, monkeypatch):
+    """Any row-block size of the output layer gives the loss and gradients of
+    a budget that holds the whole batch, to round-off."""
+    net, windows = blocked_case(small_dataset, kind)
+    n_candidates = net.w_out.shape[1]
+    monkeypatch.setattr(ad, "HEAD_CELLS", 1 << 40)
+    want_loss, want = loss_and_grads(net, windows)
+    for budget in (1, 7, n_candidates - 1, n_candidates, 3 * n_candidates + 1):
+        monkeypatch.setattr(ad, "HEAD_CELLS", budget)
+        loss, grads = loss_and_grads(net, windows)
+        assert abs(loss - want_loss) < 1e-12, budget
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want[name], rtol=0, atol=1e-12,
+                                       err_msg=f"{name} at budget {budget}")
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_batch_within_the_default_budget_is_one_block(small_dataset, kind, monkeypatch):
+    net, windows = blocked_case(small_dataset, kind)
+    assert net.w_out.shape[1] * net.pack(windows).rows <= ad.HEAD_CELLS
+    loss, grads = loss_and_grads(net, windows)
+    monkeypatch.setattr(ad, "HEAD_CELLS", 1 << 40)
+    want_loss, want = loss_and_grads(net, windows)
+    assert loss == want_loss
+    for name, grad in grads.items():
+        assert np.array_equal(grad, want[name]), name
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_gradient_check_across_head_blocks(small_dataset, kind, monkeypatch):
+    net = NETS[kind](small_dataset)
+    windows = mixed_windows(window_pool(small_dataset, net))
+    monkeypatch.setattr(ad, "HEAD_CELLS", 5 * net.w_out.shape[1])    # blocks of 5 rows
+    assert net.pack(windows).rows > 2 * 5
+    err = ad.gradient_check(lambda tape: net.window_loss(windows, tape), net.parameters(),
+                            epsilon=1e-4)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_loss_without_a_tape_forms_no_gradient(small_dataset, kind, budget, monkeypatch):
+    net, windows = blocked_case(small_dataset, kind)
+    if budget is not None:
+        monkeypatch.setattr(ad, "HEAD_CELLS", budget)
+    want_loss, _ = loss_and_grads(net, windows)
+    for t in net.parameters():
+        t.zero_grad()
+    assert float(net.window_loss(windows, None).values) == want_loss
+    for name, t in net.named_parameters().items():
+        assert not t.grad.any(), name
