@@ -28,8 +28,8 @@ import numpy as np
 from .data import DataError
 
 #: Cells (candidates x rows) of one block of ``recurrent_window_loss``'s
-#: output layer, 8 MiB of float64: the head's memory does not grow with the
-#: rows of a batch.
+#: output layer, and of one chunk of rows the stepwise evaluation walk scores,
+#: 8 MiB of float64: neither grows with the rows of a batch or the cuts read.
 HEAD_CELLS = 1 << 20
 
 
@@ -298,7 +298,7 @@ def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor]
     normalised by softmax.  The logits are candidate-major and turned into the
     softmax in place, so the (C, N) softmax is the only array of that size,
     and callers bound N (``recurrent_window_loss`` by ``HEAD_CELLS``,
-    ``WindowNet.score_cuts`` by ``CUT_BLOCK``); reducing over axis 0 runs
+    ``WindowNet.score_states`` by ``CUT_BLOCK``); reducing over axis 0 runs
     across all rows at once.  Returns the features (N, D + Dc), the softmax
     (C, N) and, given ``targets`` (N,), each row's cross-entropy, taken from
     the shifted logits rather than the log of the softmax.

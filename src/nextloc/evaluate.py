@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
 from . import association
+from . import autodiff as ad
 from .config import TrainSettings
 from .data import DataError, Dataset, SyntheticSpec, generate_synthetic
 from .poi_net import PoiNet
@@ -173,6 +175,58 @@ def _metrics_from_ranks(ranks: np.ndarray, ks) -> dict:
 
 # -- teacher-forced score rows ------------------------------------------------
 
+#: The stepwise walk's cross-user rows: instances that share one
+#: ``corr_u[users] @ current`` product, and the row updates between them that
+#: it corrects for.  Both bound the temporaries of one sub-block.
+SUB_BLOCK = 32
+SUB_UPDATES = 64
+
+
+class _RowStream:
+    """Rows of (user, cut) keys, in order, scored as they are read: one
+    ``score_states`` call per chunk of at most ``autodiff.HEAD_CELLS`` cells.
+    Only the current chunk is kept; no view of it outlives a call."""
+
+    def __init__(self, net: UserNet, run, users: np.ndarray, cuts: np.ndarray):
+        self.net, self.run, self.users, self.cuts = net, run, users, cuts
+        self.cap = max(1, ad.HEAD_CELLS // net.n_pois)
+        self.chunk, self.lo, self.pos = None, 0, 0
+
+    def _span(self, end: int) -> tuple[int, slice]:
+        """Move past the next positions, up to ``end``, that one chunk holds
+        (scoring a new chunk when the current one is used up): the first of
+        them, and where their rows lie in the chunk."""
+        if self.chunk is None or self.pos == self.lo + len(self.chunk):
+            self.chunk, self.lo = None, self.pos
+            keys = slice(self.pos, min(self.pos + self.cap, self.users.size))
+            self.chunk = self.net.score_states(self.run, self.users[keys], self.cuts[keys])
+        at, self.pos = self.pos, min(end, self.lo + len(self.chunk))
+        return at, slice(at - self.lo, self.pos - self.lo)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n rows, as one new array."""
+        out = np.empty((n, self.net.n_pois))
+        start = self.pos
+        while self.pos < start + n:
+            at, rows = self._span(start + n)
+            out[at - start:self.pos - start] = self.chunk[rows]
+        return out
+
+    def advance(self, end: int, current: np.ndarray) -> None:
+        """Write the rows up to position ``end`` over their users' rows of
+        ``current``, in order."""
+        while self.pos < end:
+            at, rows = self._span(end)
+            _set_rows(current, self.users[at:self.pos], self.chunk[rows])
+
+
+def _set_rows(current: np.ndarray, users: np.ndarray, rows: np.ndarray) -> None:
+    """``current[users[k]] = rows[k]`` for each k in turn: a user named twice
+    keeps the later row."""
+    keep = users.size - 1 - np.unique(users[::-1], return_index=True)[1]
+    current[users[keep]] = rows[keep]
+
+
 class _UserSideRows:
     """User-side score rows for every test instance, raw and cross-user adjusted.
 
@@ -184,22 +238,34 @@ class _UserSideRows:
     static: one row per user at the end of training history
     (``UserNet.predict_score_matrix``) and one ``adjust_user_scores`` product.
 
-    stepwise: one ``score_cuts`` call scores each cut the walk reads, and no
-    other.  An instance's own row sits at the cut before it.  For cross-user
-    rows the walk visits instances in time order and keeps a users-by-places
-    matrix holding each user's row at their current cut: the cut after a
-    user's event is current for instances later than that event and no later
-    than the user's next one, so it is read only if such an instance exists
-    (cut 0 only if one comes no later than the user's first event).  Every
-    user's row thus reflects exactly the true events before the instance.
-    The adjusted row is ``corr_u[user] @ current``, renormalised.  Cost:
-    linear in the cuts read, plus one users-by-places product per instance.
+    stepwise: ``run_histories`` runs each user's history through the cell
+    once, as far as the last cut the walk reads, and the walk scores each cut
+    it reads once, when it reaches it (``_RowStream``).  An instance's own row
+    sits at the cut before it.  For cross-user rows the walk visits instances
+    in time order and keeps a users-by-places matrix holding each user's row
+    at their current cut: the cut after a user's event is current for
+    instances later than that event and no later than the user's next one,
+    so it is read only if such an instance exists (cut 0 only if one comes no
+    later than the user's first event).  Every user's row thus reflects
+    exactly the true events before the instance.  An own row is read from
+    that matrix when it is its user's current row, and scored on its own
+    when it is not (the user's previous event has the same time).  The
+    adjusted row is ``corr_u[user] @ current``, renormalised: for a
+    sub-block of at most ``SUB_BLOCK`` instances, one product at its first
+    instance plus ``corr_u[user, v] * (new - old)`` for each of the at most
+    ``SUB_UPDATES`` rows v replaced inside it.  Cost: one cell pass per
+    history, one head row per cut read, one users-by-places product per
+    sub-block.  Memory: the histories' states, the users-by-places matrix and
+    one block's rows, plus one chunk of at most ``autodiff.HEAD_CELLS`` cells
+    per stream of scored rows (current rows, own rows): it does not grow with
+    the cuts read.
     """
 
     def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,
                  mode: str = "stepwise"):
         self.corr_u = corr_u
         self.mode = mode
+        self.net = net
         g, events = dataset.by_user, dataset.events
         owner, rank, in_train = g.positions()
         rows = g.order[~in_train]
@@ -209,10 +275,11 @@ class _UserSideRows:
             self.static_adj = (association.adjust_user_scores(corr_u, self.static)
                                if corr_u is not None else None)
             return
-        # User u's cut c is key base[u] + c; each instance reads its own cut.
-        base = g.offsets[:-1] + np.arange(dataset.n_users)
-        own = base[self.users] + rank[~in_train]
-        keys = [own]
+        # Each instance reads its own cut.  users and cuts gather every
+        # (user, cut) the walk reads: how far each history must run.
+        own_cuts = rank[~in_train]
+        self.own = self.users, own_cuts
+        users, cuts = self.own
         if corr_u is not None:
             # The cut after grouped event p is read if an instance time lies
             # in (its time, the time of its user's next event]; cut 0 if one
@@ -224,19 +291,31 @@ class _UserSideRows:
             until = np.where(last, instants.size,
                              np.searchsorted(instants, np.roll(times, -1), side="right"))
             read = np.flatnonzero(until > seen)
-            after = base[owner[read]] + rank[read] + 1
-            first = g.offsets[:-1]
-            starts = np.flatnonzero(np.searchsorted(instants, times[first], side="right"))
-            keys += [after, base[starts]]
-        keys = np.unique(np.concatenate(keys))
-        users = np.searchsorted(base, keys, side="right") - 1
-        self.cut_rows = net.score_cuts((events, g.order, g.offsets), users, keys - base[users])
-        self.own_index = np.searchsorted(keys, own)
-        if corr_u is not None:
-            # The events whose cut is read, as (time, user, row of that cut),
-            # and each user's row at cut 0 where an instance reads it.
-            self.stream = times[read], owner[read], np.searchsorted(keys, after)
-            self.start_rows = starts, np.searchsorted(keys, base[starts])
+            read = read[np.argsort(times[read], kind="stable")]
+            starts = np.flatnonzero(np.searchsorted(instants, times[g.offsets[:-1]],
+                                                    side="right"))
+            # The stream of current rows: cut 0 of each user an instance reads
+            # it for, then the cut after each read event, in time order.  A
+            # read cut's interval is not empty, so one user's events in the
+            # stream have distinct times.
+            self.stream = (np.r_[starts, owner[read]],
+                           np.r_[np.zeros(starts.size, dtype=np.int64), rank[read] + 1])
+            self.order = np.argsort(self.times, kind="stable")
+            # The stream rows each instance sees: the events strictly before it.
+            self.visible = starts.size + np.searchsorted(times[read], self.times[self.order],
+                                                         side="left")
+            # Each instance's own row, in time order: its stream position if
+            # the stream holds that cut, or -1 and a place in the own stream.
+            base = g.offsets[:-1] + np.arange(dataset.n_users)
+            own_keys = base[self.users[self.order]] + own_cuts[self.order]
+            _, mine, theirs = np.intersect1d(own_keys, base[self.stream[0]] + self.stream[1],
+                                             assume_unique=True, return_indices=True)
+            self.own_at = np.full(own_keys.size, -1)
+            self.own_at[mine] = theirs
+            alone = self.order[self.own_at < 0]
+            self.own = self.users[alone], own_cuts[alone]
+            users, cuts = np.r_[users, self.stream[0]], np.r_[cuts, self.stream[1]]
+        self.run = net.run_histories((events, g.order, g.offsets), users, cuts)
 
     def walk(self):
         """Yield (instance indices, own rows, adjusted rows or None) in blocks
@@ -248,35 +327,49 @@ class _UserSideRows:
                 yield idx, self.static[users], (self.static_adj[users]
                                                 if self.static_adj is not None else None)
             return
+        own = _RowStream(self.net, self.run, *self.own)
         if self.corr_u is None:
             for idx in _blocks(n):
-                yield idx, self.cut_rows[self.own_index[idx]], None
+                yield idx, own.take(idx.size), None
             return
-        # The stream in time order.  A read cut's interval is not empty, so
-        # one user's events in the stream have distinct times.
-        times, owners, cut_rows = self.stream
-        order = np.argsort(times, kind="stable")
-        times, owners, cut_rows = times[order], owners[order].tolist(), cut_rows[order].tolist()
-        inst_order = np.argsort(self.times, kind="stable")
-        # Events strictly before each instance, as a prefix of the stream.
-        visible = np.searchsorted(times, self.times[inst_order], side="left")
+        stream = _RowStream(self.net, self.run, *self.stream)
+        updated, visible, own_at = self.stream[0], self.visible, self.own_at
+        users = self.users[self.order]
         # A user's row before their first read cut is never read.
-        current = np.zeros((self.corr_u.shape[0], self.cut_rows.shape[1]))
-        starts, start_rows = self.start_rows
-        current[starts] = self.cut_rows[start_rows]
-        users = self.users.tolist()
-        applied = 0
+        current = np.zeros((self.corr_u.shape[0], self.net.n_pois))
         for block in _blocks(n):
-            idx = inst_order[block]
-            adjusted = np.empty((idx.size, current.shape[1]))
-            for j, (i, upto) in enumerate(zip(idx.tolist(), visible[block].tolist())):
-                for v, r in zip(owners[applied:upto], cut_rows[applied:upto]):
-                    current[v] = self.cut_rows[r]
-                applied = upto
-                vec = self.corr_u[users[i]] @ current
-                total = vec.sum()
-                adjusted[j] = vec / total if total > 0 else vec
-            yield idx, self.cut_rows[self.own_index[idx]], adjusted
+            own_rows = np.empty((block.size, current.shape[1]))
+            adjusted = np.empty_like(own_rows)
+            j, stop = block[0], block[-1] + 1
+            while j < stop:
+                # Bring the rows up to instance j, then take the sub-block
+                # j..e-1 and the updates inside it.
+                vis = visible[j]
+                stream.advance(vis, current)
+                e = min(j + SUB_BLOCK, stop,
+                        np.searchsorted(visible, vis + SUB_UPDATES, side="right"))
+                sub = slice(j - block[0], e - block[0])
+                us, q, mine = users[j:e], own_at[j:e], own_rows[sub]
+                new = stream.take(visible[e - 1] - vis)
+                earlier = (q >= 0) & (q < vis)
+                mine[earlier] = current[us[earlier]]
+                mine[q >= vis] = new[q[q >= vis] - vis]
+                mine[q < 0] = own.take(np.count_nonzero(q < 0))
+                # Replaced rows: the one before each update, which may be an
+                # earlier update of the same user inside the sub-block.
+                vs = updated[vis:vis + len(new)]
+                old = current[vs]
+                by_user = np.argsort(vs, kind="stable")
+                again = np.flatnonzero(vs[by_user[1:]] == vs[by_user[:-1]])
+                old[by_user[again + 1]] = new[by_user[again]]
+                sees = np.arange(vis, vis + vs.size) < visible[j:e, None]
+                vec = self.corr_u[us] @ current
+                vec += (self.corr_u[np.ix_(us, vs)] * sees) @ (new - old)
+                _set_rows(current, vs, new)
+                total = vec.sum(axis=1, keepdims=True)
+                adjusted[sub] = np.divide(vec, total, out=vec, where=total > 0)
+                j = e
+            yield self.order[block], own_rows, adjusted
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -408,13 +501,44 @@ def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
         out["unseen"] = _metrics_from_ranks(ranks[unseen_mask], ks)
     else:
         out["unseen"] = {"acc": {int(k): None for k in ks}, "mrr": None, "n": 0}
-    order = np.argsort(owners, kind="stable")
-    entities, starts, counts = np.unique(np.asarray(owners)[order], return_index=True,
-                                         return_counts=True)
-    reciprocal = 1.0 / ranks[order]     # each owner's instances, contiguous
-    out["per_user"] = {e: {"n": n, "mrr": float(np.mean(reciprocal[s:s + n]))}
-                       for e, s, n in zip(entities.tolist(), starts.tolist(), counts.tolist())}
+    out["per_user"] = _per_owner(np.asarray(owners), 1.0 / ranks)
     return out
+
+
+class PerOwner(Mapping):
+    """Each owner's instance count and MRR (an owner is a user, or a place
+    for the next-visitor task), as arrays over the owners in ascending
+    order; read as ``{owner: {"n": count, "mrr": mrr}}``."""
+
+    def __init__(self, owners: np.ndarray, n: np.ndarray, mrr: np.ndarray):
+        self.owners, self.n, self.mrr = owners, n, mrr
+
+    def __getitem__(self, owner) -> dict:
+        i = int(np.searchsorted(self.owners, owner))
+        if i == self.owners.size or self.owners[i] != owner:
+            raise KeyError(owner)
+        return {"n": int(self.n[i]), "mrr": float(self.mrr[i])}
+
+    def __iter__(self):
+        return iter(self.owners.tolist())
+
+    def __len__(self) -> int:
+        return self.owners.size
+
+
+def _per_owner(owners: np.ndarray, values: np.ndarray, n: np.ndarray | None = None) -> PerOwner:
+    """Each owner's mean of its ``values``, in their order, and its count:
+    the number of its values, or the sum of its ``n``.  Owners with equally
+    many values are averaged as rows of one matrix, which sums each row as
+    ``np.mean`` sums one owner's values alone: the same bits."""
+    order = np.argsort(owners, kind="stable")
+    entities, starts, counts = np.unique(owners[order], return_index=True, return_counts=True)
+    values = values[order]
+    mean = np.empty(entities.size)
+    for count in np.unique(counts).tolist():
+        at = np.flatnonzero(counts == count)
+        mean[at] = values[starts[at, None] + np.arange(count)].mean(axis=1)
+    return PerOwner(entities, counts if n is None else np.add.reduceat(n[order], starts), mean)
 
 
 # -- multi-seed reports -------------------------------------------------------
@@ -431,7 +555,7 @@ class EvalReport:
     unseen_n: int
     unseen_mrr: float | None
     per_seed: list
-    per_user: dict
+    per_user: PerOwner
 
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -538,15 +662,13 @@ def _aggregate(variant, fusion, ks, seeds, runs: list[dict]) -> EvalReport:
         vals = [v for v in values if v is not None]
         return float(np.mean(vals)) if vals else None
 
-    per_user: dict[int, dict] = {}
-    for run in runs:
-        for u, entry in run["per_user"].items():
-            agg = per_user.setdefault(int(u), {"n": 0, "_rrs": []})
-            agg["n"] += entry["n"]
-            agg["_rrs"].append(entry["mrr"])
-    for agg in per_user.values():
-        agg["mrr"] = float(np.mean(agg.pop("_rrs")))
+    def joined(field, dtype):
+        return np.concatenate([np.empty(0, dtype)]
+                              + [getattr(run["per_user"], field) for run in runs])
 
+    # Each owner's counts summed and MRRs averaged over the runs, in run order.
+    per_user = _per_owner(joined("owners", np.int64), joined("mrr", np.float64),
+                          joined("n", np.int64))
     return EvalReport(
         variant=variant,
         fusion=fusion.label(),

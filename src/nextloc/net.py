@@ -18,12 +18,12 @@ from . import autodiff as ad
 from .dataset import DataError, Dataset, Events
 
 #: Windows whose recall ``WindowNet.pack`` computes together, and (history,
-#: cut) pairs that ``WindowNet.score_cuts`` scores together: the block bounds
-#: the size of their temporaries.
+#: cut) pairs that ``WindowNet.score_states`` scores together: the block
+#: bounds the size of their temporaries.
 CUT_BLOCK = 128
 #: Padded cells (histories x steps) of one prediction recurrence:
-#: ``WindowNet.score_cuts`` groups histories under this budget, so its memory
-#: does not grow with the number of histories scored at once.
+#: ``WindowNet.run_histories`` groups histories under this budget, so the
+#: padding of its states does not grow with the number of histories run.
 CELL_BUDGET = 4096
 
 
@@ -66,6 +66,24 @@ class WindowBatch:
             steps=tuple(s[index, :k] for s in self.steps), context=self.context[index],
             targets=self.targets[index, :k], mask=mask[:, :k],
             recall=None if self.recall is None else self.recall[index, :k, :k])
+
+
+@dataclasses.dataclass(frozen=True)
+class HistoryStates:
+    """Histories run through the cell once (``WindowNet.run_histories``),
+    ready to be scored at any cut up to ``widths[h]`` (``score_states``).
+
+    History h is row ``slot[h]`` of group ``group[h]`` (-1 if it was not
+    run).  Group g holds its members' ``states[g]`` (B, W, D), padded to the
+    widest member, the recall's fields ``recall[g]`` (each (B, W)) and their
+    context rows ``contexts[g]`` (B, Dc).
+    """
+    widths: np.ndarray
+    group: np.ndarray
+    slot: np.ndarray
+    states: list
+    recall: list
+    contexts: list
 
 
 class WindowNet:
@@ -194,25 +212,19 @@ class WindowNet:
     # -- prediction ----------------------------------------------------------
 
     @np.errstate(over="ignore", invalid="ignore")
-    def score_cuts(self, histories, owners, cuts, contexts=None) -> np.ndarray:
-        """Probability rows of the next target for (history, cut) pairs.
+    def run_histories(self, histories, owners, cuts, contexts=None) -> HistoryStates:
+        """Run each history of (history, cut) pairs through the cell once,
+        as far as its largest cut: the states ``score_states`` reads.
 
         ``histories`` is ``(events, rows, offsets)``: history h is the events
         at ``rows[offsets[h]:offsets[h + 1]]`` in order, read with context row
-        ``contexts[h]`` (default h).  Pair i's row predicts what follows the
-        first ``cuts[i]`` events of history ``owners[i]``, from the state after
-        them (aggregated by the recall, if any) and the context row; cut 0
-        (no history) yields a uniform row.
-
-        Histories are read only as far as their largest cut.  Widest first,
-        they run through the cell in groups whose padded cells stay under
-        ``CELL_BUDGET`` (a wider history runs alone); each group's pairs are
-        then scored in ascending-cut blocks of ``CUT_BLOCK``.  So besides the
-        result, memory stays O(CELL_BUDGET + CUT_BLOCK x width) rows of
-        states, width being the longest history read.
-
-        A block whose rows are not all finite (parameters that overflow)
-        raises NumericsError, so numpy's warnings on the way are silenced.
+        ``contexts[h]`` (default h).  Pair i asks for the first ``cuts[i]``
+        events of history ``owners[i]``; a history no pair cuts past 0 is not
+        run.  Widest first, histories run through the cell in groups whose
+        padded cells stay under ``CELL_BUDGET`` (a wider history runs alone).
+        Memory: the states and recall fields of every history, each padded
+        to the widest in its group, O((D + recall fields) x events read).
+        Overflow shows as non-finite rows in ``score_states``, which raises.
         """
         events, rows, offsets = histories
         owners = np.asarray(owners, dtype=np.intp)
@@ -225,44 +237,71 @@ class WindowNet:
         if bad.size:
             raise ValueError(f"cuts must lie in [0, {lengths[owners[bad[0]]]}]")
         params = self.named_parameters()
-        n_candidates = self.w_out.shape[1]
-        out = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
-        live = np.flatnonzero(cuts > 0)
-        if live.size == 0:
-            return out
         # How far each history is read, and its group and slot in it.
         width = np.zeros(lengths.size, dtype=np.int64)
-        np.maximum.at(width, owners[live], cuts[live])
+        np.maximum.at(width, owners, cuts)
         read = np.flatnonzero(width)
         read = read[np.argsort(-width[read], kind="stable")]
         bounds = [0]
         while bounds[-1] < read.size:
             fit = max(1, CELL_BUDGET // int(width[read[bounds[-1]]]))
             bounds.append(min(bounds[-1] + fit, read.size))
-        group = np.empty(lengths.size, dtype=np.intp)
-        slot = np.empty(lengths.size, dtype=np.intp)
-        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            group[read[a:b]] = g
-            slot[read[a:b]] = np.arange(b - a)
-        # The live pairs by group, then by cut.
-        order = live[np.lexsort((cuts[live], group[owners[live]]))]
-        ends = np.searchsorted(group[owners[order]], np.arange(len(bounds) - 1), side="right")
+        group, slot = np.full(lengths.size, -1), np.full(lengths.size, -1)
+        states, recall, ctx = [], [], []
         ctx_table = params[self.context_input[1]].values
-        for a, b, lo, hi in zip(bounds, bounds[1:], np.r_[0, ends[:-1]], ends):
+        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
             members = read[a:b]
+            group[members] = g
+            slot[members] = np.arange(b - a)
             w = width[members]
             starts = offsets[members] - (np.cumsum(w) - w)
             _, column = _padded(events, rows[np.repeat(starts, w) + np.arange(w.sum())], w)
             inputs = [(params[name], column(field)) for field, name in self.step_inputs]
-            states = ad.recurrent_states(inputs, self._cell())[1]
-            recall_columns = [column(field, np.float64) for field in self.recall_fields]
-            ctx = ctx_table[contexts[members]]
+            states.append(ad.recurrent_states(inputs, self._cell())[1])
+            recall.append([column(field, np.float64) for field in self.recall_fields])
+            ctx.append(ctx_table[contexts[members]])
+        return HistoryStates(width, group, slot, states, recall, ctx)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def score_states(self, run: HistoryStates, owners, cuts) -> np.ndarray:
+        """Probability rows of the next target for (history, cut) pairs, from
+        the states of ``run_histories``.
+
+        Pair i's row predicts what follows the first ``cuts[i]`` events of
+        history ``owners[i]``, from the state after them (aggregated by the
+        recall, if any) and the context row; cut 0 (no history) yields a
+        uniform row, and a cut past what ``run`` ran raises ValueError.  Each
+        group's pairs are scored in ascending-cut blocks of ``CUT_BLOCK``.
+        Memory: besides the (pairs x candidates) result,
+        O(CUT_BLOCK x (width x D + candidates)), width being the longest
+        history read.
+
+        A block whose rows are not all finite (parameters that overflow)
+        raises NumericsError, so numpy's warnings on the way are silenced.
+        """
+        owners = np.asarray(owners, dtype=np.intp)
+        cuts = np.asarray(cuts, dtype=np.int64)
+        bad = np.flatnonzero((cuts < 0) | (cuts > run.widths[owners]))
+        if bad.size:
+            raise ValueError(f"cuts must lie in [0, {run.widths[owners[bad[0]]]}]")
+        n_candidates = self.w_out.shape[1]
+        out = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
+        live = np.flatnonzero(cuts > 0)
+        if live.size == 0:
+            return out
+        # The live pairs by group, then by cut.
+        order = live[np.lexsort((cuts[live], run.group[owners[live]]))]
+        groups = run.group[owners[order]]
+        splits = np.flatnonzero(np.diff(groups)) + 1
+        for lo, hi in zip(np.r_[0, splits], np.r_[splits, order.size]):
+            g = groups[lo]
+            states, columns, ctx = run.states[g], run.recall[g], run.contexts[g]
             for s in range(lo, hi, CUT_BLOCK):
                 idx = order[s:min(s + CUT_BLOCK, hi)]
-                at, last = slot[owners[idx]], cuts[idx] - 1
+                at, last = run.slot[owners[idx]], cuts[idx] - 1
                 if self.recall_fields:
                     k = int(last[-1]) + 1
-                    recall = self._recall(last, *(c[at, :k] for c in recall_columns))
+                    recall = self._recall(last, *(c[at, :k] for c in columns))
                     agg = np.einsum("pk,pkd->pd", recall, states[at, :k])
                 else:
                     agg = states[at, last]
@@ -271,6 +310,14 @@ class WindowNet:
                     raise ad.NumericsError(f"non-finite scores from the {self.description}")
                 out[idx] = probs.T
         return out
+
+    def score_cuts(self, histories, owners, cuts, contexts=None) -> np.ndarray:
+        """``score_states`` of ``run_histories``: rows for (history, cut)
+        pairs, each history run through the cell once.  Memory: that of the
+        two steps, O((D + recall fields) x events read + CUT_BLOCK x width
+        x D) besides the result."""
+        run = self.run_histories(histories, owners, cuts, contexts)
+        return self.score_states(run, owners, cuts)
 
     def score_rows_at_cuts(self, events: list | Events, context: int, cuts) -> np.ndarray:
         """``score_cuts`` for one history, ``events``, read with the

@@ -1,13 +1,15 @@
 """Fusion, ranking, metric, and report tests."""
 
 import json
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from nextloc import association
-from nextloc.data import CheckIn, DataError, build_dataset
+from nextloc import autodiff as ad
+from nextloc.data import CheckIn, DataError, SyntheticSpec, build_dataset, generate_synthetic
 from nextloc.evaluate import (VARIANTS, WIRING, EvalReport, FusionStrategy,
                               TrainSettings, _UserSideRows, acc_at_k, case_report,
                               evaluate_variants, evaluate_with_nets, fuse, mrr,
@@ -322,14 +324,14 @@ class TestTimeOrderedPass:
     def test_static_mode_scores_one_cut_per_user(self, small_dataset, nets, monkeypatch):
         user_net, poi_net = nets
         scored = []
-        original = user_net.score_cuts
+        original = user_net.score_states
 
         def counting(*args, **kwargs):
             rows = original(*args, **kwargs)
             scored.append(len(rows))
             return rows
 
-        monkeypatch.setattr(user_net, "score_cuts", counting)
+        monkeypatch.setattr(user_net, "score_states", counting)
         evaluate_with_nets(small_dataset, user_net, poi_net, "full", s_u_mode="static")
         assert sum(scored) == small_dataset.n_users
 
@@ -371,7 +373,7 @@ class TestOnePass:
             return wrapper
 
         for key, net in zip(("user_rows", "poi_rows"), nets):
-            monkeypatch.setattr(net, "score_cuts", counting(key, net.score_cuts, len))
+            monkeypatch.setattr(net, "score_states", counting(key, net.score_states, len))
         for key in ("adjust_user_scores", "adjust_poi_scores"):
             monkeypatch.setattr(association, key, counting(key, getattr(association, key)))
         return tally
@@ -415,6 +417,57 @@ class TestOnePass:
         assert not any(counts.values())
 
 
+class TestStreamedWalk:
+    """The stepwise walk scores the cuts it reads in chunks as it reaches
+    them, from states the cell computed once per history."""
+
+    @pytest.mark.parametrize("cross_user", [False, True])
+    def test_cell_runs_once_per_history_group(self, small_dataset, nets, monkeypatch,
+                                               cross_user):
+        user_net = nets[0]
+        corr_u = association.user_similarity(small_dataset) if cross_user else None
+        calls = {"recurrent_states": 0, "score_states": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ad, "HEAD_CELLS", 3 * small_dataset.n_pois)     # chunks of 3 rows
+        monkeypatch.setattr(ad, "recurrent_states", counting("recurrent_states",
+                                                             ad.recurrent_states))
+        monkeypatch.setattr(user_net, "score_states", counting("score_states",
+                                                               user_net.score_states))
+        rows = _UserSideRows(small_dataset, user_net, corr_u, "stepwise")
+        for _ in rows.walk():
+            pass
+        groups = np.unique(rows.run.group[rows.run.group >= 0]).size
+        assert calls["recurrent_states"] == groups == len(rows.run.states)
+        assert calls["score_states"] > 10 * groups
+
+    def test_memory_does_not_grow_with_the_cuts_read(self, monkeypatch):
+        """With small chunks the peak traced allocation of a build and walk
+        stays well under the rows of every cut read; a chunk holding them all
+        shows that the peak is measured."""
+        ds = generate_synthetic(SyntheticSpec(n_users=160, n_pois=300, n_zones=30), 0)
+        user_net = UserNet(ds.n_users, ds.n_pois, dim=10, beta=1.0, seed=0)
+        corr_u = association.user_similarity(ds)
+        all_rows = len(cuts_read(ds)) * ds.n_pois * 8
+
+        def traced_peak(cells):
+            monkeypatch.setattr(ad, "HEAD_CELLS", cells)
+            tracemalloc.start()
+            try:
+                for _ in _UserSideRows(ds, user_net, corr_u, "stepwise").walk():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(64 * ds.n_pois) < all_rows / 2 < all_rows < traced_peak(1 << 40)
+
+
 class TestReports:
     def test_single_report_round_trips_through_json(self, small_dataset, nets):
         result = evaluate_with_nets(small_dataset, *nets, variant="user_net_only")
@@ -445,12 +498,13 @@ class TestReports:
         assert outputs[0] == outputs[1]
 
     def test_aggregate_means_per_seed_metrics(self):
+        from nextloc.evaluate import PerOwner, _aggregate
+
         def fake_run(seed, mrr_value):
             return {"seed": seed, "n": 4, "mrr": mrr_value,
                     "acc": {1: mrr_value, 5: 1.0},
                     "unseen": {"acc": {1: None, 5: None}, "mrr": None, "n": 0},
-                    "per_user": {0: {"n": 4, "mrr": mrr_value}}}
-        from nextloc.evaluate import _aggregate
+                    "per_user": PerOwner(np.array([0]), np.array([4]), np.array([mrr_value]))}
         report = _aggregate("full", FusionStrategy(), (1, 5), [0, 1],
                             [fake_run(0, 0.5), fake_run(1, 0.7)])
         assert report.mrr == pytest.approx(0.6)

@@ -6,13 +6,14 @@ ranking one row at a time."""
 
 import os
 from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc import association, net
+from nextloc import association, evaluate, net
 from nextloc import autodiff as ad
 from nextloc.association import truncate_top_k
 from nextloc.data import (FORMATS, CheckIn, DataError, build_dataset, day_index,
@@ -494,15 +495,18 @@ def same_rows(got, want):
 
 @st.composite
 def prediction_cases(draw):
-    """A tiny dataset, untrained networks for it, and the prediction block
-    and cell budget to score it with.
+    """A tiny dataset, untrained networks for it, the prediction block and
+    cell budget to score it with, and the stepwise walk's chunk budget (in
+    rows) and sub-block bounds (None: the defaults).
 
     Times come from a few hours of a few days, so equal timestamps are
     common, within one user and across users; one place is visited only by
     user 0's first event (a one-event history) and one by nobody (a cold
     place).  Now and then user 0 gets a history longer than ``CUT_BLOCK``.
     Small blocks and budgets split the histories into several groups and
-    each group's pairs into several blocks."""
+    each group's pairs into several blocks; small chunks and sub-blocks put
+    the walk's reads across many chunks and its updates across many
+    sub-blocks."""
     n_users = draw(st.integers(1, 4))
     n_pois = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**16))
@@ -525,26 +529,41 @@ def prediction_cases(draw):
     poi_net = PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots, dim=3, slot_dim=2, seed=seed)
     cut_block = draw(st.sampled_from([1, 2, 5, net.CUT_BLOCK]))
     budget = draw(st.sampled_from([1, 7, 40, net.CELL_BUDGET]))
-    return ds, user_net, poi_net, cut_block, budget
+    chunk = draw(st.sampled_from([1, 7, None]))
+    sub_block = draw(st.sampled_from([1, 2, None]))
+    return ds, user_net, poi_net, cut_block, budget, chunk, sub_block
 
 
 @settings(max_examples=60, deadline=None)
 @given(prediction_cases())
 def test_grouped_prediction_matches_the_per_context_oracles(case):
-    ds, user_net, poi_net, cut_block, budget = case
+    ds, user_net, poi_net, cut_block, budget, chunk, sub_block = case
     assert ds.by_poi.train_counts[-1] == 0 and ds.by_poi.train_counts[-2] == 1
     corr_u, corr_l = association.user_similarity(ds), association.poi_similarity(ds)
+    scored = Counter()
+    score_states = user_net.score_states
+
+    def counting(run, owners, cuts):
+        scored.update(zip(np.asarray(owners).tolist(), np.asarray(cuts).tolist()))
+        return score_states(run, owners, cuts)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(net, "CUT_BLOCK", cut_block)
         mp.setattr(net, "CELL_BUDGET", budget)
+        if chunk is not None:
+            mp.setattr(ad, "HEAD_CELLS", chunk * ds.n_pois)
+        if sub_block is not None:
+            mp.setattr(evaluate, "SUB_BLOCK", sub_block)
+            mp.setattr(evaluate, "SUB_UPDATES", sub_block)
         for model in (user_net, poi_net):
             same_rows(model.predict_score_matrix(ds), per_context_score_matrix(model, ds))
+        mp.setattr(user_net, "score_states", counting)
         for corr in (None, corr_u):
             read = set()
             want = {i: (own, adjusted)
                     for i, own, adjusted in all_cuts_walk(ds, user_net, corr, read)}
+            scored.clear()
             rows = _UserSideRows(ds, user_net, corr, "stepwise")
-            assert len(rows.cut_rows) == len(read)
             walked = []
             for idx, own, adjusted in rows.walk():
                 walked += idx.tolist()
@@ -552,6 +571,8 @@ def test_grouped_prediction_matches_the_per_context_oracles(case):
                 if corr is not None:
                     same_rows(adjusted, np.stack([want[i][1] for i in idx.tolist()]))
             assert sorted(walked) == list(range(len(want)))
+            # Every (user, cut) the walk reads is scored exactly once, and no other.
+            assert scored == Counter(dict.fromkeys(read, 1))
         for mode in ("stepwise", "static"):
             got = evaluate_variants(ds, user_net, poi_net, ks=(1,), corr_u=corr_u,
                                     corr_l=corr_l, s_u_mode=mode)
