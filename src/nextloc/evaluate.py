@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -175,10 +174,9 @@ def _metrics_from_ranks(ranks: np.ndarray, ks) -> dict:
 
 # -- teacher-forced score rows ------------------------------------------------
 
-#: The stepwise walk's cross-user rows: instances that share one
-#: ``corr_u[users] @ current`` product, and the row updates between them that
-#: it corrects for.  Both bound the temporaries of one sub-block.
-SUB_BLOCK = 32
+#: The stepwise walk's cross-user rows: the row updates that one
+#: ``corr_u[users] @ current`` product is corrected for.  With the block's
+#: ``RANK_BLOCK`` instances it bounds the temporaries of one sub-block.
 SUB_UPDATES = 64
 
 
@@ -251,8 +249,8 @@ class _UserSideRows:
     that matrix when it is its user's current row, and scored on its own
     when it is not (the user's previous event has the same time).  The
     adjusted row is ``corr_u[user] @ current``, renormalised: for a
-    sub-block of at most ``SUB_BLOCK`` instances, one product at its first
-    instance plus ``corr_u[user, v] * (new - old)`` for each of the at most
+    sub-block of a block's instances, one product at its first instance plus
+    ``corr_u[user, v] * (new - old)`` for each of the at most
     ``SUB_UPDATES`` rows v replaced inside it.  Cost: one cell pass per
     history, one head row per cut read, one users-by-places product per
     sub-block.  Memory: the histories' states, the users-by-places matrix and
@@ -346,8 +344,7 @@ class _UserSideRows:
                 # j..e-1 and the updates inside it.
                 vis = visible[j]
                 stream.advance(vis, current)
-                e = min(j + SUB_BLOCK, stop,
-                        np.searchsorted(visible, vis + SUB_UPDATES, side="right"))
+                e = min(stop, np.searchsorted(visible, vis + SUB_UPDATES, side="right"))
                 sub = slice(j - block[0], e - block[0])
                 us, q, mine = users[j:e], own_at[j:e], own_rows[sub]
                 new = stream.take(visible[e - 1] - vis)
@@ -501,44 +498,13 @@ def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
         out["unseen"] = _metrics_from_ranks(ranks[unseen_mask], ks)
     else:
         out["unseen"] = {"acc": {int(k): None for k in ks}, "mrr": None, "n": 0}
-    out["per_user"] = _per_owner(np.asarray(owners), 1.0 / ranks)
-    return out
-
-
-class PerOwner(Mapping):
-    """Each owner's instance count and MRR (an owner is a user, or a place
-    for the next-visitor task), as arrays over the owners in ascending
-    order; read as ``{owner: {"n": count, "mrr": mrr}}``."""
-
-    def __init__(self, owners: np.ndarray, n: np.ndarray, mrr: np.ndarray):
-        self.owners, self.n, self.mrr = owners, n, mrr
-
-    def __getitem__(self, owner) -> dict:
-        i = int(np.searchsorted(self.owners, owner))
-        if i == self.owners.size or self.owners[i] != owner:
-            raise KeyError(owner)
-        return {"n": int(self.n[i]), "mrr": float(self.mrr[i])}
-
-    def __iter__(self):
-        return iter(self.owners.tolist())
-
-    def __len__(self) -> int:
-        return self.owners.size
-
-
-def _per_owner(owners: np.ndarray, values: np.ndarray, n: np.ndarray | None = None) -> PerOwner:
-    """Each owner's mean of its ``values``, in their order, and its count:
-    the number of its values, or the sum of its ``n``.  Owners with equally
-    many values are averaged as rows of one matrix, which sums each row as
-    ``np.mean`` sums one owner's values alone: the same bits."""
     order = np.argsort(owners, kind="stable")
-    entities, starts, counts = np.unique(owners[order], return_index=True, return_counts=True)
-    values = values[order]
-    mean = np.empty(entities.size)
-    for count in np.unique(counts).tolist():
-        at = np.flatnonzero(counts == count)
-        mean[at] = values[starts[at, None] + np.arange(count)].mean(axis=1)
-    return PerOwner(entities, counts if n is None else np.add.reduceat(n[order], starts), mean)
+    entities, starts, counts = np.unique(np.asarray(owners)[order], return_index=True,
+                                         return_counts=True)
+    reciprocal = 1.0 / ranks[order]     # each owner's instances, contiguous
+    out["per_user"] = {e: {"n": n, "mrr": float(np.mean(reciprocal[s:s + n]))}
+                       for e, s, n in zip(entities.tolist(), starts.tolist(), counts.tolist())}
+    return out
 
 
 # -- multi-seed reports -------------------------------------------------------
@@ -555,7 +521,7 @@ class EvalReport:
     unseen_n: int
     unseen_mrr: float | None
     per_seed: list
-    per_user: PerOwner
+    per_user: dict
 
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -662,13 +628,15 @@ def _aggregate(variant, fusion, ks, seeds, runs: list[dict]) -> EvalReport:
         vals = [v for v in values if v is not None]
         return float(np.mean(vals)) if vals else None
 
-    def joined(field, dtype):
-        return np.concatenate([np.empty(0, dtype)]
-                              + [getattr(run["per_user"], field) for run in runs])
+    per_user: dict[int, dict] = {}
+    for run in runs:
+        for u, entry in run["per_user"].items():
+            agg = per_user.setdefault(int(u), {"n": 0, "_rrs": []})
+            agg["n"] += entry["n"]
+            agg["_rrs"].append(entry["mrr"])
+    for agg in per_user.values():
+        agg["mrr"] = float(np.mean(agg.pop("_rrs")))
 
-    # Each owner's counts summed and MRRs averaged over the runs, in run order.
-    per_user = _per_owner(joined("owners", np.int64), joined("mrr", np.float64),
-                          joined("n", np.int64))
     return EvalReport(
         variant=variant,
         fusion=fusion.label(),

@@ -18,12 +18,13 @@ from . import autodiff as ad
 from .dataset import DataError, Dataset, Events
 
 #: Windows whose recall ``WindowNet.pack`` computes together, and (history,
-#: cut) pairs that ``WindowNet.score_states`` scores together: the block
-#: bounds the size of their temporaries.
+#: cut) pairs that ``WindowNet.score_states`` and ``score_cuts`` score
+#: together: the block bounds the size of their temporaries.
 CUT_BLOCK = 128
-#: Padded cells (histories x steps) of one prediction recurrence:
-#: ``WindowNet.run_histories`` groups histories under this budget, so the
-#: padding of its states does not grow with the number of histories run.
+#: Padded cells (histories x steps) of one prediction recurrence: histories
+#: run through the cell in groups under this budget, so the padding of their
+#: states does not grow with the number of histories run, and ``score_cuts``,
+#: which scores each group before it runs the next, holds one group's states.
 CELL_BUDGET = 4096
 
 
@@ -74,16 +75,14 @@ class HistoryStates:
     ready to be scored at any cut up to ``widths[h]`` (``score_states``).
 
     History h is row ``slot[h]`` of group ``group[h]`` (-1 if it was not
-    run).  Group g holds its members' ``states[g]`` (B, W, D), padded to the
-    widest member, the recall's fields ``recall[g]`` (each (B, W)) and their
-    context rows ``contexts[g]`` (B, Dc).
+    run).  ``runs[g]`` holds group g's members' states (B, W, D), padded to
+    the widest member, the recall's fields (each (B, W)) and their context
+    rows (B, Dc).
     """
     widths: np.ndarray
     group: np.ndarray
     slot: np.ndarray
-    states: list
-    recall: list
-    contexts: list
+    runs: list
 
 
 class WindowNet:
@@ -211,33 +210,19 @@ class WindowNet:
 
     # -- prediction ----------------------------------------------------------
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def run_histories(self, histories, owners, cuts, contexts=None) -> HistoryStates:
-        """Run each history of (history, cut) pairs through the cell once,
-        as far as its largest cut: the states ``score_states`` reads.
-
-        ``histories`` is ``(events, rows, offsets)``: history h is the events
-        at ``rows[offsets[h]:offsets[h + 1]]`` in order, read with context row
-        ``contexts[h]`` (default h).  Pair i asks for the first ``cuts[i]``
-        events of history ``owners[i]``; a history no pair cuts past 0 is not
-        run.  Widest first, histories run through the cell in groups whose
-        padded cells stay under ``CELL_BUDGET`` (a wider history runs alone).
-        Memory: the states and recall fields of every history, each padded
-        to the widest in its group, O((D + recall fields) x events read).
-        Overflow shows as non-finite rows in ``score_states``, which raises.
-        """
-        events, rows, offsets = histories
+    def _plan(self, histories, owners, cuts):
+        """Check (history, cut) pairs against ``histories`` and group the
+        histories they read: each history's width (its largest cut), its
+        group and slot (-1 if not read), and each group's members."""
+        _, _, offsets = histories
         owners = np.asarray(owners, dtype=np.intp)
         cuts = np.asarray(cuts, dtype=np.int64)
         lengths = np.diff(offsets)
-        contexts = np.arange(lengths.size) if contexts is None else np.asarray(contexts)
         if owners.size and (owners.min() < 0 or owners.max() >= lengths.size):
             raise ValueError(f"history ids must lie in [0, {lengths.size})")
         bad = np.flatnonzero((cuts < 0) | (cuts > lengths[owners]))
         if bad.size:
             raise ValueError(f"cuts must lie in [0, {lengths[owners[bad[0]]]}]")
-        params = self.named_parameters()
-        # How far each history is read, and its group and slot in it.
         width = np.zeros(lengths.size, dtype=np.int64)
         np.maximum.at(width, owners, cuts)
         read = np.flatnonzero(width)
@@ -247,58 +232,47 @@ class WindowNet:
             fit = max(1, CELL_BUDGET // int(width[read[bounds[-1]]]))
             bounds.append(min(bounds[-1] + fit, read.size))
         group, slot = np.full(lengths.size, -1), np.full(lengths.size, -1)
-        states, recall, ctx = [], [], []
-        ctx_table = params[self.context_input[1]].values
-        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            members = read[a:b]
-            group[members] = g
-            slot[members] = np.arange(b - a)
-            w = width[members]
-            starts = offsets[members] - (np.cumsum(w) - w)
-            _, column = _padded(events, rows[np.repeat(starts, w) + np.arange(w.sum())], w)
-            inputs = [(params[name], column(field)) for field, name in self.step_inputs]
-            states.append(ad.recurrent_states(inputs, self._cell())[1])
-            recall.append([column(field, np.float64) for field in self.recall_fields])
-            ctx.append(ctx_table[contexts[members]])
-        return HistoryStates(width, group, slot, states, recall, ctx)
+        members = [read[a:b] for a, b in zip(bounds, bounds[1:])]
+        for g, m in enumerate(members):
+            group[m], slot[m] = g, np.arange(m.size)
+        return width, group, slot, members
+
+    def _run_group(self, histories, contexts, members, width):
+        """One group's pass through the cell: its members' states (B, W, D),
+        recall fields (each (B, W)) and context rows (B, Dc)."""
+        events, rows, offsets = histories
+        params = self.named_parameters()
+        w = width[members]
+        starts = offsets[members] - (np.cumsum(w) - w)
+        _, column = _padded(events, rows[np.repeat(starts, w) + np.arange(w.sum())], w)
+        inputs = [(params[name], column(field)) for field, name in self.step_inputs]
+        contexts = members if contexts is None else np.asarray(contexts)[members]
+        return (ad.recurrent_states(inputs, self._cell())[1],
+                [column(field, np.float64) for field in self.recall_fields],
+                params[self.context_input[1]].values[contexts])
 
     @np.errstate(over="ignore", invalid="ignore")
-    def score_states(self, run: HistoryStates, owners, cuts) -> np.ndarray:
-        """Probability rows of the next target for (history, cut) pairs, from
-        the states of ``run_histories``.
-
-        Pair i's row predicts what follows the first ``cuts[i]`` events of
-        history ``owners[i]``, from the state after them (aggregated by the
-        recall, if any) and the context row; cut 0 (no history) yields a
-        uniform row, and a cut past what ``run`` ran raises ValueError.  Each
-        group's pairs are scored in ascending-cut blocks of ``CUT_BLOCK``.
-        Memory: besides the (pairs x candidates) result,
-        O(CUT_BLOCK x (width x D + candidates)), width being the longest
-        history read.
-
-        A block whose rows are not all finite (parameters that overflow)
-        raises NumericsError, so numpy's warnings on the way are silenced.
-        """
-        owners = np.asarray(owners, dtype=np.intp)
-        cuts = np.asarray(cuts, dtype=np.int64)
-        bad = np.flatnonzero((cuts < 0) | (cuts > run.widths[owners]))
-        if bad.size:
-            raise ValueError(f"cuts must lie in [0, {run.widths[owners[bad[0]]]}]")
+    def _score_groups(self, group, slot, owners, cuts, runs) -> np.ndarray:
+        """Rows for (history, cut) pairs whose histories lie in ``group`` at
+        ``slot``; ``runs(g)`` gives group g's pass, asked for once per group
+        in ascending order.  Each group's pairs are scored in ascending-cut
+        blocks of ``CUT_BLOCK``.  A block whose rows are not all finite
+        (parameters that overflow) raises NumericsError, so numpy's warnings
+        on the way are silenced."""
         n_candidates = self.w_out.shape[1]
         out = np.full((cuts.size, n_candidates), 1.0 / n_candidates)
         live = np.flatnonzero(cuts > 0)
         if live.size == 0:
             return out
         # The live pairs by group, then by cut.
-        order = live[np.lexsort((cuts[live], run.group[owners[live]]))]
-        groups = run.group[owners[order]]
+        order = live[np.lexsort((cuts[live], group[owners[live]]))]
+        groups = group[owners[order]]
         splits = np.flatnonzero(np.diff(groups)) + 1
         for lo, hi in zip(np.r_[0, splits], np.r_[splits, order.size]):
-            g = groups[lo]
-            states, columns, ctx = run.states[g], run.recall[g], run.contexts[g]
+            states, columns, ctx = runs(int(groups[lo]))
             for s in range(lo, hi, CUT_BLOCK):
                 idx = order[s:min(s + CUT_BLOCK, hi)]
-                at, last = run.slot[owners[idx]], cuts[idx] - 1
+                at, last = slot[owners[idx]], cuts[idx] - 1
                 if self.recall_fields:
                     k = int(last[-1]) + 1
                     recall = self._recall(last, *(c[at, :k] for c in columns))
@@ -311,13 +285,54 @@ class WindowNet:
                 out[idx] = probs.T
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def run_histories(self, histories, owners, cuts, contexts=None) -> HistoryStates:
+        """Run each history of (history, cut) pairs through the cell once,
+        as far as its largest cut, and keep the states ``score_states`` reads.
+
+        ``histories`` is ``(events, rows, offsets)``: history h is the events
+        at ``rows[offsets[h]:offsets[h + 1]]`` in order, read with context row
+        ``contexts[h]`` (default h).  Pair i asks for the first ``cuts[i]``
+        events of history ``owners[i]``; a history no pair cuts past 0 is not
+        run.  Widest first, histories run through the cell in groups whose
+        padded cells stay under ``CELL_BUDGET`` (a wider history runs alone).
+        Memory: the states and recall fields of every history, each padded
+        to the widest in its group, O((D + recall fields) x events read).
+        Overflow shows as non-finite rows in ``score_states``, which raises.
+        """
+        width, group, slot, members = self._plan(histories, owners, cuts)
+        return HistoryStates(width, group, slot,
+                             [self._run_group(histories, contexts, m, width) for m in members])
+
+    def score_states(self, run: HistoryStates, owners, cuts) -> np.ndarray:
+        """Probability rows of the next target for (history, cut) pairs, from
+        the states of ``run_histories``.
+
+        Pair i's row predicts what follows the first ``cuts[i]`` events of
+        history ``owners[i]``, from the state after them (aggregated by the
+        recall, if any) and the context row; cut 0 (no history) yields a
+        uniform row, and a cut past what ``run`` ran raises ValueError.
+        Memory: besides the (pairs x candidates) result,
+        O(CUT_BLOCK x (width x D + candidates)), width being the longest
+        history read.
+        """
+        owners = np.asarray(owners, dtype=np.intp)
+        cuts = np.asarray(cuts, dtype=np.int64)
+        bad = np.flatnonzero((cuts < 0) | (cuts > run.widths[owners]))
+        if bad.size:
+            raise ValueError(f"cuts must lie in [0, {run.widths[owners[bad[0]]]}]")
+        return self._score_groups(run.group, run.slot, owners, cuts, run.runs.__getitem__)
+
     def score_cuts(self, histories, owners, cuts, contexts=None) -> np.ndarray:
-        """``score_states`` of ``run_histories``: rows for (history, cut)
-        pairs, each history run through the cell once.  Memory: that of the
-        two steps, O((D + recall fields) x events read + CUT_BLOCK x width
-        x D) besides the result."""
-        run = self.run_histories(histories, owners, cuts, contexts)
-        return self.score_states(run, owners, cuts)
+        """Rows for (history, cut) pairs, as ``score_states`` of
+        ``run_histories`` gives them, but each group of histories is run and
+        scored before the next is run.  Memory: besides the result,
+        O(CELL_BUDGET x D + CUT_BLOCK x (width x D + candidates)): it does
+        not grow with the histories read."""
+        width, group, slot, members = self._plan(histories, owners, cuts)
+        return self._score_groups(
+            group, slot, np.asarray(owners, dtype=np.intp), np.asarray(cuts, dtype=np.int64),
+            lambda g: self._run_group(histories, contexts, members[g], width))
 
     def score_rows_at_cuts(self, events: list | Events, context: int, cuts) -> np.ndarray:
         """``score_cuts`` for one history, ``events``, read with the

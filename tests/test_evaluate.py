@@ -324,14 +324,14 @@ class TestTimeOrderedPass:
     def test_static_mode_scores_one_cut_per_user(self, small_dataset, nets, monkeypatch):
         user_net, poi_net = nets
         scored = []
-        original = user_net.score_states
+        original = user_net.score_cuts
 
         def counting(*args, **kwargs):
             rows = original(*args, **kwargs)
             scored.append(len(rows))
             return rows
 
-        monkeypatch.setattr(user_net, "score_states", counting)
+        monkeypatch.setattr(user_net, "score_cuts", counting)
         evaluate_with_nets(small_dataset, user_net, poi_net, "full", s_u_mode="static")
         assert sum(scored) == small_dataset.n_users
 
@@ -373,7 +373,8 @@ class TestOnePass:
             return wrapper
 
         for key, net in zip(("user_rows", "poi_rows"), nets):
-            monkeypatch.setattr(net, "score_states", counting(key, net.score_states, len))
+            for scorer in ("score_cuts", "score_states"):     # static and stepwise rows
+                monkeypatch.setattr(net, scorer, counting(key, getattr(net, scorer), len))
         for key in ("adjust_user_scores", "adjust_poi_scores"):
             monkeypatch.setattr(association, key, counting(key, getattr(association, key)))
         return tally
@@ -443,7 +444,7 @@ class TestStreamedWalk:
         for _ in rows.walk():
             pass
         groups = np.unique(rows.run.group[rows.run.group >= 0]).size
-        assert calls["recurrent_states"] == groups == len(rows.run.states)
+        assert calls["recurrent_states"] == groups == len(rows.run.runs)
         assert calls["score_states"] > 10 * groups
 
     def test_memory_does_not_grow_with_the_cuts_read(self, monkeypatch):
@@ -498,13 +499,12 @@ class TestReports:
         assert outputs[0] == outputs[1]
 
     def test_aggregate_means_per_seed_metrics(self):
-        from nextloc.evaluate import PerOwner, _aggregate
-
         def fake_run(seed, mrr_value):
             return {"seed": seed, "n": 4, "mrr": mrr_value,
                     "acc": {1: mrr_value, 5: 1.0},
                     "unseen": {"acc": {1: None, 5: None}, "mrr": None, "n": 0},
-                    "per_user": PerOwner(np.array([0]), np.array([4]), np.array([mrr_value]))}
+                    "per_user": {0: {"n": 4, "mrr": mrr_value}}}
+        from nextloc.evaluate import _aggregate
         report = _aggregate("full", FusionStrategy(), (1, 5), [0, 1],
                             [fake_run(0, 0.5), fake_run(1, 0.7)])
         assert report.mrr == pytest.approx(0.6)

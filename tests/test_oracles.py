@@ -553,7 +553,7 @@ def test_grouped_prediction_matches_the_per_context_oracles(case):
         if chunk is not None:
             mp.setattr(ad, "HEAD_CELLS", chunk * ds.n_pois)
         if sub_block is not None:
-            mp.setattr(evaluate, "SUB_BLOCK", sub_block)
+            mp.setattr(evaluate, "RANK_BLOCK", sub_block)
             mp.setattr(evaluate, "SUB_UPDATES", sub_block)
         for model in (user_net, poi_net):
             same_rows(model.predict_score_matrix(ds), per_context_score_matrix(model, ds))

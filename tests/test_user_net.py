@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nextloc import net as net_module
 from nextloc.data import SECONDS_PER_DAY, CheckIn, build_dataset
 from nextloc.net import CELL_BUDGET, CUT_BLOCK
 from nextloc.poi_net import PoiNet
@@ -228,6 +229,34 @@ def test_predict_score_matrix_memory_stays_bounded():
         tracemalloc.stop()
     assert scores.shape == (300, 8)
     assert peak < 4 * 2**20
+
+
+def test_predict_score_matrix_memory_does_not_grow_with_histories(monkeypatch):
+    """Many short histories, together many times the cell budget: each
+    group of them is run and scored before the next, so the peak traced
+    allocation besides the result stays a small share of every history's
+    states; a budget that puts them all in one group shows the peak is
+    measured."""
+    records = []
+    for user in range(1000):
+        records += cycle_records(n_pois=4, n_events=20, user=user, start=1_000_000 + user)
+    ds = make_dataset(records)
+    net = UserNet(ds.n_users, ds.n_pois, dim=32, beta=1.0, seed=0)
+    cells = int(ds.by_user.train_counts.sum())
+    all_states = cells * net.dim * 8
+
+    def traced_peak(budget):
+        monkeypatch.setattr(net_module, "CELL_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            scores = net.predict_score_matrix(ds)
+            return tracemalloc.get_traced_memory()[1] - scores.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert cells > 200 * 64
+    net.predict_score_matrix(ds)        # the dataset's groupings, built once
+    assert traced_peak(64) < all_states / 8 < all_states < traced_peak(1 << 40)
 
 
 class TestTraining:
