@@ -276,14 +276,27 @@ def _slot_gap(a: int, b: int, slots: int) -> int:
 
 
 def _validate_spec(spec: SyntheticSpec) -> None:
+    """Raise DataError naming the first setting that leaves the spec
+    infeasible; nothing is drawn before every check has passed."""
     check_settings(spec.split_ratio, spec.window, spec.slots)
-    if spec.n_zones < 1:
-        raise DataError("infeasible synthetic spec: need at least one zone")
+    least = {"n_users": 2, "n_pois": 1, "events_per_user": 10, "n_zones": 1,
+             "repertoire_size": 1, "exclusive_per_user": 0, "companion_shared": 1,
+             "noise_palette": 0, "adopt_count": 0, "drift_count": 0, "explore_count": 0,
+             "slot_jitter": 0}
+    for name, low in least.items():
+        if getattr(spec, name) < low:
+            raise DataError(f"infeasible synthetic spec: {name} must be at least {low}, "
+                            f"got {getattr(spec, name)!r}")
+    for name in ("clone_fraction", "pool_overlap", "noise_rate", "go_prob", "off_prob"):
+        if not 0.0 <= getattr(spec, name) <= 1.0:
+            raise DataError(f"infeasible synthetic spec: {name} must lie in [0, 1], "
+                            f"got {getattr(spec, name)!r}")
     max_zone = -(-spec.n_pois // spec.n_zones)
     min_zone = spec.n_pois - max_zone * (spec.n_zones - 1)
     core = spec.repertoire_size - spec.exclusive_per_user
     checks = [
-        (spec.n_users >= 2, "need at least 2 users"),
+        (min_zone >= 1, f"n_zones of {spec.n_zones} leaves a zone empty "
+                        f"({spec.n_pois} POIs, up to {max_zone} a zone)"),
         (min_zone >= spec.pool_size,
          f"clone pool of {spec.pool_size} does not fit a zone of {min_zone} POIs"),
         (min_zone >= spec.repertoire_size, "repertoire does not fit a zone"),
@@ -292,10 +305,12 @@ def _validate_spec(spec: SyntheticSpec) -> None:
          f"noise rate {spec.noise_rate} breaks the {spec.pool_overlap} pool-share floor"),
         (spec.n_pois - spec.pool_size >= spec.noise_palette or spec.noise_rate == 0,
          "not enough POIs outside a clone pool to draw noise from"),
-        (spec.events_per_user >= 10, "too few events per user"),
-        (0 <= spec.clone_fraction <= 1.0, "clone_fraction must be in [0,1]"),
-        (spec.explore_count >= 0, "explore_count must be >= 0"),
-        (1 <= spec.companion_shared < spec.repertoire_size,
+        # A user visits each routine place at most once a day, and the day
+        # loop of generate_synthetic stops after 10001 days.
+        (spec.events_per_user <= 10001 * spec.repertoire_size,
+         f"events_per_user of {spec.events_per_user} cannot fill: {spec.repertoire_size} "
+         f"routine places visited at most once a day for at most 10001 days"),
+        (spec.companion_shared < spec.repertoire_size,
          "companion_shared must leave each companion a unique POI"),
         (min_zone >= 2 * spec.repertoire_size - spec.companion_shared,
          "companion pool does not fit a zone"),
@@ -303,13 +318,13 @@ def _validate_spec(spec: SyntheticSpec) -> None:
          <= spec.events_per_user
          - split_point(spec.events_per_user, spec.split_ratio) - 1,
          "planted late visits exceed the test segment"),
-        (1 <= spec.slots and max_zone <= spec.slots,
+        (max_zone <= spec.slots,
          "zone POIs need distinct time slots; increase slots or zones"),
-        (0 <= spec.slot_jitter <= spec.slots // 2,
+        (spec.slot_jitter <= spec.slots // 2,
          "slot_jitter must be between 0 and half the slot count"),
         (not spec.split_plans or spec.repertoire_size >= 2,
          "alternating day-plans need a repertoire of at least 2"),
-        (0.0 < spec.go_prob <= 1.0 and 0.0 <= spec.off_prob <= spec.go_prob,
+        (0.0 < spec.go_prob and spec.off_prob <= spec.go_prob,
          "need 0 < go_prob <= 1 and 0 <= off_prob <= go_prob"),
     ]
     for ok, msg in checks:
@@ -318,7 +333,13 @@ def _validate_spec(spec: SyntheticSpec) -> None:
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
-    """Deterministic planted-structure dataset; see SyntheticSpec for the design."""
+    """Deterministic planted-structure dataset; see SyntheticSpec for the design.
+
+    A spec and seed always give the same events and meta, so the order of the
+    random draws is part of the output format: do not reorder or regroup them
+    (a sized draw in place of scalar ones included) unless the pinned digests
+    in tests/test_data.py and tests/test_cli.py still pass.
+    """
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
     M, N, E = spec.n_users, spec.n_pois, spec.events_per_user
@@ -385,34 +406,36 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
     # Outings on a pair's common POIs are made together: one go/stay draw per
     # (pair, POI, day) for both members.  For clones that is the designed core;
-    # for companions, their designed shared set.
-    sync_key: dict[int, int] = {}
-    sync_set: dict[int, set[int]] = {}
-    sync_groups: list[tuple[int, set[int]]] = []
-    for k, (a, b) in enumerate(clone_pairs):
-        sync_key[a] = sync_key[b] = len(sync_groups)
-        sync_set[a] = sync_set[b] = set(repertoires[a][:core])
-        sync_groups.append((len(sync_groups), sync_set[a]))
-    for a, b in companion_pairs:
-        common = set(repertoires[a]) & set(repertoires[b])
-        if common:
-            sync_key[a] = sync_key[b] = len(sync_groups)
-            sync_set[a] = sync_set[b] = common
-            sync_groups.append((len(sync_groups), common))
+    # for companions, their designed shared set.  A day draws all pairs' coins
+    # in one call, pair by pair: the plan coin (with split plans), then one per
+    # common POI in id order.  shared_at[u] maps u's common POIs to their coin's
+    # index in that draw; plan_at[u] is the index of u's plan coin, or -1 for a
+    # user who tosses their own.
+    shared_at: list[dict[int, int]] = [{} for _ in range(M)]
+    plan_at = [-1] * M
+    n_shared = 0
+    for a, b in clone_pairs + companion_pairs:
+        if spec.split_plans:
+            plan_at[a] = plan_at[b] = n_shared
+            n_shared += 1
+        for p in sorted(set(repertoires[a]) & set(repertoires[b])):
+            shared_at[a][p] = shared_at[b][p] = n_shared
+            n_shared += 1
 
     # Each repertoire alternates over two day-plans, split in lock-step on a
     # pair's shared POIs so both members agree on what kind of day it is.
     # The first moves of a day are then ambiguous from one member's history
     # alone, yet readable off the other member's earlier visits.
+    peak = peak_slot.tolist()
     plan_of: list[dict[int, int]] = [{} for _ in range(M)]
     if spec.split_plans:
         def by_slot(p: int) -> tuple[int, int]:
-            return int(peak_slot[p]), int(p)
+            return peak[p], p
         for u in range(M):
-            common = sorted(sync_set.get(u, ()), key=by_slot)
+            common = sorted(shared_at[u], key=by_slot)
             rest = sorted(set(repertoires[u]) - set(common), key=by_slot)
             for i, p in enumerate(common + rest):
-                plan_of[u][int(p)] = i % 2
+                plan_of[u][p] = i % 2
 
     # Noise palettes are drawn outside the user's pool (or repertoire), so a
     # partner's exclusive POIs can never leak into one's own training history.
@@ -427,56 +450,56 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     n_train = split_point(E, spec.split_ratio)
     n_noise = int(spec.noise_rate * E)
     slot_seconds = SECONDS_PER_DAY // spec.slots
-    routines = [sorted(repertoires[u], key=lambda p: peak_slot[p]) for u in range(M)]
+    jitter, slots = spec.slot_jitter, spec.slots
+
+    # Each user's routine in visiting order, as plain ints: the POI, its
+    # coin's index in the day's shared draw (-1: the user tosses their own),
+    # its peak slot, and its visit chance by 2 * weekday + today's plan.
+    routines = []
+    for u in range(M):
+        routine = []
+        for p in sorted(repertoires[u], key=peak.__getitem__):
+            days, plan = day_profiles[profile_of_poi[p]], plan_of[u].get(p, 0)
+            chance = tuple(spec.go_prob if weekday in days and plan == today else spec.off_prob
+                           for weekday in range(7) for today in (0, 1))
+            routine.append((p, shared_at[u].get(p, -1), peak[p], chance))
+        routines.append(routine)
 
     # Day-synchronous generation with the shared draws described above.
+    random, integers = rng.random, rng.integers
     visits: list[list[tuple[int, int]]] = [[] for _ in range(M)]   # (timestamp, poi)
     day = 0
-    while any(len(v) < E for v in visits):
+    while min(map(len, visits)) < E:
         if day > 10000:
             raise DataError("synthetic day loop failed to fill the event budget")
         weekday = (spec.base_day + day + _EPOCH_WEEKDAY_OFFSET) % 7
-        pair_draw: dict[tuple[int, int], float] = {}
-        plan_today: dict[int, int] = {}
-        for key, members in sync_groups:
+        midnight = (spec.base_day + day) * SECONDS_PER_DAY
+        shared = random(n_shared).tolist()
+        for own, plan_coin, routine in zip(visits, plan_at, routines):
+            today = 0
             if spec.split_plans:
-                plan_today[key] = int(rng.random() < 0.5)
-            for p in sorted(members):
-                pair_draw[(key, p)] = rng.random()
-        for u in range(M):
-            todays_plan = 0
-            if spec.split_plans:
-                todays_plan = (plan_today[sync_key[u]] if u in sync_key
-                               else int(rng.random() < 0.5))
-            for p in routines[u]:
-                if u in sync_key and p in sync_set[u]:
-                    r = pair_draw[(sync_key[u], p)]
-                else:
-                    r = rng.random()
-                active = weekday in day_profiles[profile_of_poi[p]]
-                if spec.split_plans and plan_of[u][p] != todays_plan:
-                    active = False
-                if r < (spec.go_prob if active else spec.off_prob):
-                    slot = int(peak_slot[p])
-                    if spec.slot_jitter:
-                        slot = (slot + int(rng.integers(-spec.slot_jitter,
-                                                        spec.slot_jitter + 1))) % spec.slots
-                    t = ((spec.base_day + day) * SECONDS_PER_DAY
-                         + slot * slot_seconds
-                         + int(rng.integers(0, slot_seconds)))
-                    visits[u].append((t, p))
+                today = int((shared[plan_coin] if plan_coin >= 0 else random()) < 0.5)
+            column = 2 * weekday + today
+            for p, coin, slot, chance in routine:
+                if (shared[coin] if coin >= 0 else random()) < chance[column]:
+                    if jitter:
+                        slot = (slot + int(integers(-jitter, jitter + 1))) % slots
+                    own.append((midnight + slot * slot_seconds
+                                + int(integers(0, slot_seconds)), p))
         day += 1
 
-    records: list[CheckIn] = []
+    # Jitter can reorder a day's visits, so sort each user's first E:
+    # replacement positions below are meant relative to the chronological
+    # sequence.
+    seqs = [sorted(own[:E]) for own in visits]
+    targets: list[list[int]] = []
     adoption: list[list[int]] = [[] for _ in range(M)]
     discovery: list[list[int]] = [[] for _ in range(M)]
     discovery_poi: list[int | None] = [None] * M
     exploration: list[list[int]] = [[] for _ in range(M)]
     exploration_poi: list[int | None] = [None] * M
     for u in range(M):
-        # Jitter can reorder a day's visits, so re-sort: replacement positions
-        # below are meant relative to the chronological sequence.
-        seq = sorted(visits[u][:E])
+        seq = seqs[u]
         target = [p for _, p in seq]
         open_tail = list(range(n_train + 1, E))
 
@@ -500,15 +523,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
                 n_plant, book = spec.drift_count, discovery[u]
                 discovery_poi[u] = goals[0] if goals else None
             if goals and n_plant:
-                mate_seq = sorted(visits[mate][:E])
+                g_days = {g: {t // SECONDS_PER_DAY for t, p in seqs[mate] if p == g}
+                          for g in goals}
                 for j in range(n_plant):
                     g = goals[j % len(goals)]
-                    g_days = {t // SECONDS_PER_DAY for t, p in mate_seq if p == g}
                     together = [i for i in open_tail
-                                if seq[i][0] // SECONDS_PER_DAY in g_days]
+                                if seq[i][0] // SECONDS_PER_DAY in g_days[g]]
                     pos = min(together or open_tail,
-                              key=lambda i: (_slot_gap(int(peak_slot[target[i]]),
-                                                       int(peak_slot[g]), spec.slots), i))
+                              key=lambda i: (_slot_gap(peak[target[i]], peak[g], slots), i))
                     target[pos] = g
                     open_tail.remove(pos)
                     book.append(pos)
@@ -531,8 +553,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
                 exploration_poi[u] = g
                 for _ in range(min(spec.explore_count, len(open_tail))):
                     pos = min(open_tail,
-                              key=lambda i: (_slot_gap(int(peak_slot[target[i]]),
-                                                       int(peak_slot[g]), spec.slots), i))
+                              key=lambda i: (_slot_gap(peak[target[i]], peak[g], slots), i))
                     target[pos] = g
                     open_tail.remove(pos)
                     exploration[u].append(pos)
@@ -542,11 +563,15 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
             protected = set(adoption[u]) | set(discovery[u]) | set(exploration[u])
             open_slots = [i for i in range(E) if i not in protected]
             chosen = rng.choice(len(open_slots), size=n_noise, replace=False)
-            for c in chosen:
-                target[open_slots[c]] = palettes[u][int(rng.integers(0, len(palettes[u])))]
+            picks = rng.integers(0, len(palettes[u]), size=n_noise)
+            for c, k in zip(chosen.tolist(), picks.tolist()):
+                target[open_slots[c]] = palettes[u][k]
+        targets.append(target)
 
-        for (t, _), p in zip(seq, target):
-            records.append(CheckIn(u, t, float(lat[p]), float(lon[p]), p))
+    poi = np.array(targets, dtype=np.int64).ravel()
+    events = Events(CheckIn, user=np.repeat(np.arange(M, dtype=np.int64), E),
+                    t=np.array([t for seq in seqs for t, _ in seq], dtype=np.int64),
+                    lat=lat[poi], lon=lon[poi], poi=poi)
 
     meta = {
         "seed": seed,
@@ -569,7 +594,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         "peak_slot": peak_slot.tolist(),
         "active_days": [list(day_profiles[k]) for k in profile_of_poi],
     }
-    return build_dataset(records, spec.split_ratio, spec.window, spec.slots,
+    return build_dataset(events, spec.split_ratio, spec.window, spec.slots,
                          user_raw=[f"u{i:03d}" for i in range(M)],
                          poi_raw=[f"p{i:03d}" for i in range(N)],
                          meta=meta)

@@ -128,6 +128,17 @@ class TestSynth:
         assert fingerprint(dirs[0]) == fingerprint(dirs[1])
         assert fingerprint(dirs[0]) != fingerprint(dirs[2])
 
+    def test_synth_files_are_pinned(self, tmp_path):
+        """A spec and seed always give the same bytes."""
+        out = tmp_path / "pinned"
+        assert cli.main(["synth", "--seed", "1", "--set", "n_users=160", "--set", "n_pois=120",
+                         "--set", "n_zones=12", "--out", str(out)]) == 0
+        files = fingerprint(out)
+        assert files["events.tsv"] == \
+            "ad9c44db2d964a74082abc96c7e2a4d24fb0438ae006ed1a54d4b71130f815c5"
+        assert files["meta.json"] == \
+            "f1fbf3f930f2a169e0b89bc36cdc287b14865bf8b8adacbae427c3f9e30aed1a"
+
     def test_malformed_set_flag(self, tmp_path):
         assert cli.main(["synth", "--set", "n_users", "--out",
                          str(tmp_path / "x")]) == cli.EXIT_USAGE
@@ -146,6 +157,21 @@ class TestSynth:
         assert cli.main(["synth", *SMALL_SET, "--set", setting,
                          "--out", str(out)]) == cli.EXIT_USAGE
         assert f"error: {knob} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, named", [
+        ("noise_palette=-1", "noise_palette"), ("noise_rate=-0.5", "noise_rate"),
+        ("exclusive_per_user=-1", "exclusive_per_user"), ("adopt_count=-1", "adopt_count"),
+        ("drift_count=-3", "drift_count"), ("pool_overlap=-1", "pool_overlap"),
+        ("n_zones=100", "n_zones"), ("events_per_user=100000", "events_per_user")])
+    def test_infeasible_setting_is_named(self, tmp_path, capsys, setting, named):
+        """An out-of-range count or rate, a zone layout with an empty zone and
+        an event budget that cannot fill are data errors naming the setting,
+        raised before anything is drawn or written."""
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--set", setting, "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"error: infeasible synthetic spec: {named} ")
         assert not out.exists()
 
     def test_out_env_var_sets_default_root(self, tmp_path, monkeypatch):
