@@ -19,17 +19,20 @@ benchmark's tracer, which looks them up by name.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import DataError
 
-#: Cells (candidates x rows) of one block of ``recurrent_window_loss``'s
-#: output layer, and of one chunk of rows the stepwise evaluation walk scores,
-#: 8 MiB of float64: neither grows with the rows of a batch or the cuts read.
+#: Cells (candidates x rows) of the two row blocks ``recurrent_window_loss``'s
+#: output layer scores at once, and of one chunk of rows the stepwise
+#: evaluation walk scores, 8 MiB of float64: neither grows with the rows of a
+#: batch or the cuts read.
 HEAD_CELLS = 1 << 20
 
 
@@ -290,22 +293,27 @@ def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
 
 
 def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor],
-                   targets: np.ndarray | None = None):
+                   targets: np.ndarray | None = None, out: np.ndarray | None = None):
     """The output layer of training and prediction.
 
     Each aggregated state (N, D) is joined with its context row (N, Dc) and
     mapped by ``head`` (``w_out``, ``b_out``) to logits over the candidates,
     normalised by softmax.  The logits are candidate-major and turned into the
     softmax in place, so the (C, N) softmax is the only array of that size,
-    and callers bound N (``recurrent_window_loss`` by ``HEAD_CELLS``,
+    and callers bound N (``recurrent_window_loss`` by ``HEAD_CELLS // 2``,
     ``WindowNet.score_states`` by ``CUT_BLOCK``); reducing over axis 0 runs
-    across all rows at once.  Returns the features (N, D + Dc), the softmax
-    (C, N) and, given ``targets`` (N,), each row's cross-entropy, taken from
-    the shifted logits rather than the log of the softmax.
+    across all rows at once.  Given ``out``, a C-contiguous (C, N) array, the
+    softmax is written there instead of into a new array.  Returns the
+    features (N, D + Dc), the softmax (C, N) and, given ``targets`` (N,), each
+    row's cross-entropy, taken from the shifted logits rather than the log of
+    the softmax.
     """
     w_out, b_out = head
     features = np.concatenate([agg, ctx], axis=1)
-    probs = w_out.values.T @ features.T
+    if out is None:
+        probs = w_out.values.T @ features.T
+    else:
+        probs = np.matmul(w_out.values.T, features.T, out=out)
     probs += b_out.values.reshape(-1, 1)
     probs -= probs.max(axis=0)
     if targets is not None:
@@ -314,6 +322,64 @@ def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor]
     z = probs.sum(axis=0)
     probs /= z
     return features, probs, None if targets is None else np.log(z) - picked
+
+
+#: The one helper thread that scores every other head block of a batch
+#: larger than one block; started by the first such batch.
+_helper: ThreadPoolExecutor | None = None
+
+
+def _drop_helper_in_child() -> None:
+    # A forked child has no helper thread, only the parent's executor object.
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_drop_helper_in_child)
+
+
+def _in_pairs(score, blocks: list[slice], n_cells: int):
+    """``score(rows, out)`` of each block of ``blocks``, yielded in block order.
+
+    One block runs on the calling thread with ``out=None``.  More run two at
+    a time: the calling thread scores the first of each pair and the helper
+    thread the second, each writing its softmax into its own buffer of
+    ``n_cells`` allocated here, on the calling thread.
+    """
+    global _helper
+    if len(blocks) <= 1:
+        yield from (score(rows, None) for rows in blocks)
+        return
+    if _helper is None:
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nextloc-head")
+    buffers = np.empty((2, n_cells))
+    for lo in range(0, len(blocks), 2):
+        second = (_helper.submit(score, blocks[lo + 1], buffers[1])
+                  if lo + 1 < len(blocks) else None)
+        yield score(blocks[lo], buffers[0])
+        if second is not None:
+            yield second.result()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _score_head_block(rows: slice, out, agg, ctx, head, y, nll, d_full, cells):
+    """Score one row block of ``recurrent_window_loss``'s head.
+
+    Writes the rows' cross-entropy into ``nll`` and, given ``d_full``, their
+    feature gradients into it, and returns the block's part of the gradients
+    of ``w_out``ᵀ (C, F) and ``b_out`` (C,), or None without ``d_full``.
+    Sets its own error state: numpy's does not reach the helper thread.
+    """
+    n = rows.stop - rows.start
+    if out is not None:
+        out = out[:head[0].shape[1] * n].reshape(-1, n)
+    features, g, nll[rows] = output_softmax(agg[rows], ctx[rows], head, y[rows], out)
+    if d_full is None:
+        return None
+    g[y[rows], np.arange(n)] -= 1.0
+    g *= 1.0 / y.size
+    d_full.reshape(-1, features.shape[1])[cells[rows]] = (head[0].values @ g).T
+    return g @ features, g.sum(axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -332,10 +398,14 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     window's valid steps are a prefix, so padding after them reaches no valid
     row.  One tape node, whose backward is backpropagation through time.
 
-    The head scores the rows in blocks of ``HEAD_CELLS // candidates``; when
-    a tape records, each block forms its part of the head's gradient at once
-    and its softmax is dropped.  So besides the batch's states, memory stays
-    O(HEAD_CELLS + rows x features).
+    The head scores the rows in blocks of ``HEAD_CELLS // 2 // candidates``;
+    when a tape records, each block forms its part of the head's gradient at
+    once and its softmax is dropped.  A batch of one block is scored on the
+    calling thread; larger ones two blocks at a time, on the calling thread
+    and one helper thread, so at most ``HEAD_CELLS`` cells are in flight and,
+    besides the batch's states, memory stays O(HEAD_CELLS + rows x features).
+    Each block's partial gradients are added in block order as its pair
+    completes, so the result does not depend on the threads' scheduling.
     Overflow on the way only shows as a non-finite loss or gradient, which
     raises NumericsError, so numpy's warnings about it are silenced.
     """
@@ -357,23 +427,23 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     # The head's gradient at a loss gradient of 1: w_outᵀ, b_out, and the
     # features at each (window, step), zero at padded steps.
     n_features = agg.shape[1] + ctx.shape[1]
+    d_full = cells = None
     if record:
         d_w_out = np.zeros((n_candidates, n_features))
         d_b_out = np.zeros(n_candidates)
         d_full = np.zeros(mask.shape + (n_features,))
         cells = np.flatnonzero(mask)
     nll = np.empty(n_rows)
-    step = max(1, HEAD_CELLS // n_candidates)
-    for lo in range(0, n_rows, step):
-        rows = slice(lo, min(lo + step, n_rows))
-        features, g, nll_rows = output_softmax(agg[rows], ctx[rows], head, y[rows])
-        nll[rows] = nll_rows
+    step = max(1, HEAD_CELLS // 2 // n_candidates)
+    blocks = [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    score = functools.partial(_score_head_block, agg=agg, ctx=ctx, head=head, y=y, nll=nll,
+                              d_full=d_full, cells=cells)
+    # Partials are added in block order whichever thread formed them, so the
+    # sum does not depend on scheduling.
+    for part in _in_pairs(score, blocks, step * n_candidates):
         if record:
-            g[y[rows], np.arange(features.shape[0])] -= 1.0
-            g *= 1.0 / n_rows
-            d_w_out += g @ features
-            d_b_out += g.sum(axis=1)
-            d_full.reshape(-1, n_features)[cells[rows]] = (w_out.values @ g).T
+            d_w_out += part[0]
+            d_b_out += part[1]
     loss_value = float(np.mean(nll))
     if not math.isfinite(loss_value):
         raise NumericsError("non-finite value in recurrent_window_loss")

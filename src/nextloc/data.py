@@ -562,6 +562,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         if n_noise and palettes[u]:
             protected = set(adoption[u]) | set(discovery[u]) | set(exploration[u])
             open_slots = [i for i in range(E) if i not in protected]
+            if n_noise > len(open_slots):
+                raise DataError(f"infeasible synthetic spec: noise_rate of {spec.noise_rate} "
+                                f"asks {n_noise} noise visits of user {u}, who has "
+                                f"{len(open_slots)} unplanted slots")
             chosen = rng.choice(len(open_slots), size=n_noise, replace=False)
             picks = rng.integers(0, len(palettes[u]), size=n_noise)
             for c, k in zip(chosen.tolist(), picks.tolist()):

@@ -1,6 +1,8 @@
 """Unit tests for the tape-based differentiation layer."""
 
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -201,6 +203,36 @@ def test_window_loss_head_memory_is_bounded_by_its_budget(monkeypatch):
     assert peak < whole_head / 3
     peak, _ = traced_peak_of_window_loss(monkeypatch, 2000 * rows)
     assert peak > whole_head
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_scores_head_blocks(monkeypatch):
+    """A child forked after the helper thread started gets a helper of its
+    own instead of waiting on the parent's, which does not exist there."""
+    rng = np.random.default_rng(0)
+    dim, n_candidates = 4, 50
+    table, context = tracked(rng.normal(0, 0.1, (50, dim))), tracked(rng.normal(0, 0.1, (50, dim)))
+    cell = tuple(tracked(rng.normal(0, 0.1, shape)) for shape in ((dim, dim), (dim, dim), (1, dim)))
+    head = (tracked(rng.normal(0, 0.1, (2 * dim, n_candidates))),
+            tracked(rng.normal(0, 0.1, (1, n_candidates))))
+    ids = rng.integers(0, 50, (16, 5))
+    targets = rng.integers(0, n_candidates, (16, 5))
+    monkeypatch.setattr(ad, "HEAD_CELLS", 2 * n_candidates)     # blocks of one row
+
+    def loss():
+        return float(ad.recurrent_window_loss([(table, ids)], cell, (context, ids[:, 0]), head,
+                                              targets, np.ones((16, 5), dtype=bool)).values)
+
+    want = loss()
+    pid = os.fork()
+    if pid == 0:    # the child: exit 0 only if it scores the same loss within 20 s
+        try:
+            signal.alarm(20)
+            os._exit(0 if loss() == want else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestOptimizers:

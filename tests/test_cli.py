@@ -163,13 +163,16 @@ class TestSynth:
         ("noise_palette=-1", "noise_palette"), ("noise_rate=-0.5", "noise_rate"),
         ("exclusive_per_user=-1", "exclusive_per_user"), ("adopt_count=-1", "adopt_count"),
         ("drift_count=-3", "drift_count"), ("pool_overlap=-1", "pool_overlap"),
-        ("n_zones=100", "n_zones"), ("events_per_user=100000", "events_per_user")])
+        ("n_zones=100", "n_zones"), ("events_per_user=100000", "events_per_user"),
+        ("pool_overlap=0 noise_rate=1", "noise_rate"),
+        ("pool_overlap=0 noise_rate=0.97", "noise_rate")])
     def test_infeasible_setting_is_named(self, tmp_path, capsys, setting, named):
-        """An out-of-range count or rate, a zone layout with an empty zone and
-        an event budget that cannot fill are data errors naming the setting,
-        raised before anything is drawn or written."""
+        """An out-of-range count or rate, a zone layout with an empty zone, an
+        event budget that cannot fill and more noise visits than a user has
+        unplanted slots are data errors naming the setting; nothing is written."""
         out = tmp_path / "x"
-        assert cli.main(["synth", "--set", setting, "--out", str(out)]) == cli.EXIT_DATA
+        sets = [arg for pair in setting.split() for arg in ("--set", pair)]
+        assert cli.main(["synth", *sets, "--out", str(out)]) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith(
             f"error: infeasible synthetic spec: {named} ")
         assert not out.exists()

@@ -463,6 +463,8 @@ def test_generator_output_is_pinned(name, seed):
     {"n_zones": 100},                           # 30 POIs leave zones empty
     {"n_pois": 10, "n_zones": 6},               # zones of 2, the last one empty
     {"events_per_user": 100_000},               # beyond 10001 days of 6 places
+    {"pool_overlap": 0.0, "noise_rate": 1.0},   # more noise than unplanted slots
+    {"pool_overlap": 0.0, "noise_rate": 0.97},
 ])
 def test_infeasible_specs_rejected(overrides):
     with pytest.raises(DataError, match="infeasible"):

@@ -1,5 +1,8 @@
 """The trainer and loader both networks share (nextloc.net)."""
 
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -189,13 +192,80 @@ def test_head_blocks_agree_with_one_block(small_dataset, kind, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_batch_within_the_default_budget_is_one_block(small_dataset, kind, monkeypatch):
     net, windows = blocked_case(small_dataset, kind)
-    assert net.w_out.shape[1] * net.pack(windows).rows <= ad.HEAD_CELLS
+    assert net.w_out.shape[1] * net.pack(windows).rows <= ad.HEAD_CELLS // 2
     loss, grads = loss_and_grads(net, windows)
     monkeypatch.setattr(ad, "HEAD_CELLS", 1 << 40)
     want_loss, want = loss_and_grads(net, windows)
     assert loss == want_loss
     for name, grad in grads.items():
         assert np.array_equal(grad, want[name]), name
+
+
+class InlineExecutor:
+    """Stands in for the head's helper thread: runs each block at once, on
+    the calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_head_blocks_do_not_depend_on_scheduling(small_dataset, kind, monkeypatch):
+    """Blocks scored two at a time, on the calling thread and the helper,
+    give the loss and gradients of the same blocks run one at a time on the
+    calling thread, exactly, call after call."""
+    net, windows = blocked_case(small_dataset, kind)
+    rows = net.pack(windows).rows
+    block_counts = [-(-rows // step) for step in (3, 6)]
+    assert min(block_counts) > 4 and any(n % 2 for n in block_counts)   # a lone last block
+    for step in (3, 6):
+        monkeypatch.setattr(ad, "HEAD_CELLS", 2 * step * net.w_out.shape[1])
+        runs = [loss_and_grads(net, windows) for _ in range(3)]
+        with monkeypatch.context() as inline:
+            inline.setattr(ad, "_helper", InlineExecutor())
+            want_loss, want = loss_and_grads(net, windows)
+        for loss, grads in runs:
+            assert loss == want_loss, step
+            for name, grad in grads.items():
+                assert np.array_equal(grad, want[name]), f"{name} in blocks of {step} rows"
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_overflow_on_the_helper_thread_raises_without_warning(small_dataset, kind,
+                                                             monkeypatch):
+    """numpy's error state does not reach the helper thread, so its blocks
+    silence overflow themselves; a RuntimeWarning would fail this test under
+    the suite's warning filter."""
+    net, windows = blocked_case(small_dataset, kind)
+    monkeypatch.setattr(ad, "HEAD_CELLS", 2 * 3 * net.w_out.shape[1])
+    for t in net.parameters():
+        t.values[:] = 1e300
+    for tape in (ad.Tape(), None):
+        with pytest.raises(ad.NumericsError):
+            net.window_loss(windows, tape)
+
+
+def test_head_uses_at_most_one_helper_thread(small_dataset, monkeypatch):
+    """Training whose batches fit one block starts no thread; many
+    multi-block batches share one helper thread."""
+    monkeypatch.setattr(ad, "_helper", None)
+    before = threading.active_count()
+    try:
+        for make in NETS.values():
+            make(small_dataset).train(small_dataset, epochs=2)
+        assert ad._helper is None and threading.active_count() == before
+        for kind in sorted(NETS):
+            net, windows = blocked_case(small_dataset, kind)
+            monkeypatch.setattr(ad, "HEAD_CELLS", 2 * net.w_out.shape[1])    # blocks of 1 row
+            for _ in range(5):
+                loss_and_grads(net, windows)
+                assert threading.active_count() <= before + 1
+        assert ad._helper is not None
+    finally:
+        if ad._helper is not None:
+            ad._helper.shutdown(wait=True)
 
 
 @pytest.mark.parametrize("kind", sorted(NETS))
