@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -325,8 +324,9 @@ def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor]
 
 
 #: The one helper thread that scores every other head block of a batch
-#: larger than one block; started by the first such batch.
-_helper: ThreadPoolExecutor | None = None
+#: larger than one block: an executor of one worker, started by the first
+#: such batch.
+_helper = None
 
 
 def _drop_helper_in_child() -> None:
@@ -351,6 +351,9 @@ def _in_pairs(score, blocks: list[slice], n_cells: int):
         yield from (score(rows, None) for rows in blocks)
         return
     if _helper is None:
+        # Imported here, so that a process whose batches all fit one block
+        # does not load concurrent.futures and logging (about 0.5 MiB RSS).
+        from concurrent.futures import ThreadPoolExecutor
         _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nextloc-head")
     buffers = np.empty((2, n_cells))
     for lo in range(0, len(blocks), 2):
