@@ -357,11 +357,14 @@ def _in_pairs(score, blocks: list[slice], n_cells: int):
         _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nextloc-head")
     buffers = np.empty((2, n_cells))
     for lo in range(0, len(blocks), 2):
-        second = (_helper.submit(score, blocks[lo + 1], buffers[1])
-                  if lo + 1 < len(blocks) else None)
-        yield score(blocks[lo], buffers[0])
-        if second is not None:
-            yield second.result()
+        second = [_helper.submit(score, rows, buffers[1]) for rows in blocks[lo + 1:lo + 2]]
+        try:
+            yield score(blocks[lo], buffers[0])
+        finally:
+            # Also when the first block raised: the helper's block is done
+            # with the buffers and its error, if any, is not lost.
+            parts = [future.result() for future in second]
+        yield from parts
 
 
 @np.errstate(over="ignore", invalid="ignore")
