@@ -78,12 +78,16 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, grad: float = 1.0) -> None:
+        """Add to every tracked tensor's gradient ``grad`` times the
+        derivative of the scalar ``loss``.  A ``grad`` other than 1 is the
+        weight of this loss in a sum taken over several tapes, such as a
+        full-batch epoch's chunks in ``WindowNet.train``."""
         if loss.values.shape != ():
             raise ValueError("backward() expects a scalar loss")
         if not loss.requires_grad:
             raise ValueError("loss does not depend on any tracked tensor")
-        loss.grad[...] = 1.0
+        loss.grad[...] = grad
         for fn in reversed(self._nodes):
             fn()
 

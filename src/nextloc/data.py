@@ -21,8 +21,7 @@ import numpy as np
 # The in-memory dataset, re-exported: the data layer's public names stay here.
 from .dataset import (_EPOCH_WEEKDAY_OFFSET, SECONDS_PER_DAY, CheckIn,  # noqa: F401
                       DataError, Dataset, Events, VisitEvent, build_dataset,
-                      check_settings, day_index, discretize_time, make_windows,
-                      split_point)
+                      check_settings, day_index, discretize_time, split_point)
 
 # Column orders of the supported raw formats.  Both use tab-separated lines
 # with ISO-8601 UTC timestamps; they differ only in where the POI id sits.

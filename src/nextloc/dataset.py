@@ -95,7 +95,10 @@ class Events:
     def __iter__(self):
         return map(self.kind._make, zip(*(self.columns[f].tolist() for f in self.kind._fields)))
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i):
+        """The record at position ``i``, or the rows of a slice as Events."""
+        if isinstance(i, slice):
+            return self.take(i)
         return self.kind._make(self.columns[f][i].item() for f in self.kind._fields)
 
     def __eq__(self, other):
@@ -139,13 +142,6 @@ def _window_runs(sizes: np.ndarray, window: int):
     length = np.minimum(sizes[run] - start, window)
     keep = length >= 2
     return run[keep], start[keep], length[keep]
-
-
-def make_windows(events: list, window: int) -> list[list]:
-    """Cut a sequence into non-overlapping chunks of the window length (see
-    ``_window_runs`` for the tail rule)."""
-    _, starts, lengths = _window_runs(np.array([len(events)]), window)
-    return [events[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -198,6 +194,12 @@ class Dataset:
     """One event set in columns, grouped per user (split chronologically,
     the first ``split_ratio`` of each user's events for training) and per
     place (a place's training events are those in its users' training parts).
+
+    Training reads the columns through ``windows``.  The record views
+    (``records``, ``train`` ... ``poi_test``) are lists of NamedTuples, and
+    ``user_windows``/``poi_windows`` are lists of one ``Events`` per window,
+    whose columns are views into one gathered copy: no record is built for
+    a window until it is read.
     """
     n_users: int
     n_pois: int
@@ -241,13 +243,23 @@ class Dataset:
     poi_train = property(lambda self: self._poi_parts[0], doc="Training VisitEvents per POI.")
     poi_test = property(lambda self: self._poi_parts[1], doc="Test VisitEvents per POI.")
 
-    @functools.cached_property
-    def user_windows(self) -> list[list[CheckIn]]:
-        return [w for evs in self.train for w in make_windows(evs, self.window)]
+    def _window_views(self, grouping: str, kind) -> list[Events]:
+        """Each training window of ``grouping`` as Events of ``kind`` records:
+        views into one gathered copy of the columns ``kind`` reads."""
+        g = getattr(self, grouping)
+        rows, ends = g.window_rows(), np.cumsum(g.window_lengths)
+        parts = {f: np.split(self.events.columns[f][rows], ends)[:-1] for f in kind._fields}
+        return [Events(kind, **dict(zip(parts, cols))) for cols in zip(*parts.values())]
 
     @functools.cached_property
-    def poi_windows(self) -> list[list[VisitEvent]]:
-        return [w for evs in self.poi_train for w in make_windows(evs, self.window)]
+    def user_windows(self) -> list[Events]:
+        """Training windows of CheckIns per user, user by user."""
+        return self._window_views("by_user", CheckIn)
+
+    @functools.cached_property
+    def poi_windows(self) -> list[Events]:
+        """Training windows of VisitEvents per place, place by place."""
+        return self._window_views("by_poi", VisitEvent)
 
 
 def build_dataset(records, split_ratio: float = 0.8,

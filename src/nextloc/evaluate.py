@@ -390,6 +390,27 @@ def check_has_test_events(dataset: Dataset) -> None:
                         "keeps every event for training")
 
 
+def check_request(n_users: int, n_pois: int, variants, ks, s_u_mode: str,
+                  has_user_net: bool = True, has_poi_net: bool = True) -> None:
+    """Refuse, with ValueError, an evaluation request that no dataset of
+    ``n_users`` users and ``n_pois`` places can serve: an unknown variant or
+    user-side mode, a top-k beyond a variant's candidates, or a variant whose
+    wiring needs a network that is not given.  It reads only sizes, so
+    callers check before any training."""
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        n_candidates = n_users if variant == "poi_net_only" else n_pois
+        if max(ks) > n_candidates:
+            raise ValueError(f"top-k {max(ks)} exceeds the {n_candidates} candidates")
+        if WIRING[variant].user_net and not has_user_net:
+            raise ValueError(f"variant {variant!r} needs a user-side network")
+        if WIRING[variant].poi_net and not has_poi_net:
+            raise ValueError(f"variant {variant!r} needs a place-side network")
+    if s_u_mode not in ROW_MODES:
+        raise ValueError(f"unknown user-side mode {s_u_mode!r}")
+
+
 def evaluate_with_nets(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNet | None,
                        variant: str = "full", fusion: FusionStrategy = FusionStrategy(),
                        ks=(1, 5, 10), corr_u: np.ndarray | None = None,
@@ -420,21 +441,11 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
     only the association can recover.
     """
     variants = tuple(dict.fromkeys(variants))
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        n_candidates = dataset.n_users if variant == "poi_net_only" else dataset.n_pois
-        if max(ks) > n_candidates:
-            raise ValueError(f"top-k {max(ks)} exceeds the {n_candidates} candidates")
-        if WIRING[variant].user_net and user_net is None:
-            raise ValueError(f"variant {variant!r} needs a user-side network")
-        if WIRING[variant].poi_net and poi_net is None:
-            raise ValueError(f"variant {variant!r} needs a place-side network")
+    check_request(dataset.n_users, dataset.n_pois, variants, ks, s_u_mode,
+                  user_net is not None, poi_net is not None)
     for net in (user_net, poi_net):
         if net is not None:
             check_fits(dataset, net)
-    if s_u_mode not in ROW_MODES:
-        raise ValueError(f"unknown user-side mode {s_u_mode!r}")
     check_has_test_events(dataset)
 
     # Each part that some requested variant reads.
@@ -574,8 +585,9 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
     ``evaluate_variants`` pass.
 
     ``source`` is either a fixed Dataset (seeds vary initialization/training)
-    or a SyntheticSpec (each seed generates its own dataset too); a dataset
-    without test events is refused before any training.  The
+    or a SyntheticSpec (each seed generates its own dataset too); a request
+    the dataset cannot serve (``check_request``) or a dataset without test
+    events is refused before any training.  The
     association knobs (``same_day``, ``top_k_users``, ``top_k_pois``) and the
     row protocol are shared by every variant so the comparison stays
     apples-to-apples.
@@ -584,6 +596,7 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
     for seed in seeds:
         dataset = (generate_synthetic(source, seed)
                    if isinstance(source, SyntheticSpec) else source)
+        check_request(dataset.n_users, dataset.n_pois, variants, ks, s_u_mode)
         check_has_test_events(dataset)
         user_net, poi_net, _ = train_nets(dataset, settings, seed)
         corr_u = association.user_similarity(dataset, same_day=same_day,

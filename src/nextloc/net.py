@@ -60,7 +60,8 @@ class WindowBatch:
         return int(self.mask.sum())
 
     def take(self, index) -> "WindowBatch":
-        """The windows at ``index``, padded only to the longest of them."""
+        """The windows at ``index``, padded only to the longest of them;
+        views of this batch's arrays when ``index`` is a slice."""
         mask = self.mask[index]
         k = int(mask.sum(axis=1).max())
         return WindowBatch(
@@ -362,33 +363,60 @@ class WindowNet:
         """Fit on the training windows; returns the per-epoch loss log.
 
         The grouping's windows are packed once.  Default is one full-batch
-        step per epoch; with batch_size set, windows are reshuffled each
-        epoch from the seed.  Each step's loss is the mean over its chunk's
+        step per epoch, taken over consecutive chunks of the pool (``chunks``)
+        so that no chunk holds more than one pair of head blocks: each
+        chunk's gradient is added at its share of the epoch's predicted rows,
+        which sums to the whole pool's mean loss up to the order of addition,
+        and a pool that fits one chunk is one tape as before.  With
+        batch_size set, windows are reshuffled each epoch from the seed and
+        each batch is one step.  The logged loss is the mean over the epoch's
         predicted rows.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         packed = self.pack(dataset.windows(self.grouping))
         n_windows = packed.context.size
+        full = self.chunks(packed) if batch_size is None else None
         opt = ad.make_optimizer(optimizer, self.parameters(), lr)
         rng = np.random.default_rng(seed)
         log: list[float] = []
         for _ in range(epochs):
             if batch_size is None:
-                chunks = [packed]
+                steps = [full]
             else:
                 order = rng.permutation(n_windows)
-                chunks = (packed.take(order[s:s + batch_size])
-                          for s in range(0, n_windows, batch_size))
+                steps = ([packed.take(order[s:s + batch_size])]
+                         for s in range(0, n_windows, batch_size))
             epoch_loss = 0.0
             epoch_rows = 0
-            for chunk in chunks:
-                tape = ad.Tape()
-                loss = self.window_loss(chunk, tape)
-                tape.backward(loss)
+            for step in steps:
+                step_rows = sum(chunk.rows for chunk in step)
+                for chunk in step:
+                    rows = chunk.rows
+                    epoch_loss += self._backward(chunk, rows / step_rows) * rows
+                    epoch_rows += rows
                 opt.step()
-                rows = chunk.rows
-                epoch_loss += float(loss.values) * rows
-                epoch_rows += rows
             log.append(epoch_loss / epoch_rows)
         return log
+
+    def chunks(self, batch: WindowBatch) -> list[WindowBatch]:
+        """``batch`` as consecutive runs of windows (views, not copies), each
+        of at most ``autodiff.HEAD_CELLS // candidates`` predicted rows, or
+        of one window that alone holds more."""
+        limit = ad.HEAD_CELLS // self.w_out.shape[1]
+        ends = np.cumsum(batch.mask.sum(axis=1))
+        bounds = [0]
+        while bounds[-1] < ends.size:
+            done = ends[bounds[-1] - 1] if bounds[-1] else 0
+            bounds.append(max(bounds[-1] + 1,
+                              int(np.searchsorted(ends, done + limit, side="right"))))
+        return [batch.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+    def _backward(self, chunk: WindowBatch, share: float) -> float:
+        """One chunk's mean loss, its gradient added to the parameters'
+        at weight ``share``.  The tape is dropped on return, so no chunk's
+        arrays outlive its backward."""
+        tape = ad.Tape()
+        loss = self.window_loss(chunk, tape)
+        tape.backward(loss, share)
+        return float(loss.values)

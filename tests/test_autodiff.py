@@ -196,8 +196,9 @@ def traced_peak_of_window_loss(monkeypatch, budget):
 
 
 def test_window_loss_head_memory_is_bounded_by_its_budget(monkeypatch):
-    """The (candidates x rows) softmax exists only one block at a time; with
-    a budget holding the whole batch, the peak shows that it is measured."""
+    """The (candidates x rows) softmax exists at most two blocks of half the
+    budget at a time; with a budget holding the whole batch, the peak shows
+    that it is measured."""
     peak, rows = traced_peak_of_window_loss(monkeypatch, 1 << 14)
     whole_head = 2000 * rows * 8
     assert peak < whole_head / 3

@@ -13,8 +13,10 @@ from nextloc import association, data
 from nextloc.data import (CheckIn, DataError, SyntheticSpec, build_dataset,
                           day_index, discretize_time, filter_inactive_users,
                           filter_rare_pois, generate_synthetic, load_dataset,
-                          make_windows, parse_checkin_file, parse_timestamp,
+                          parse_checkin_file, parse_timestamp,
                           save_dataset, split_point, write_checkin_file)
+from nextloc.poi_net import PoiNet
+from nextloc.user_net import UserNet
 
 
 # -- timestamps ---------------------------------------------------------------
@@ -215,10 +217,63 @@ def test_split_point_ceils():
     assert split_point(5, 0.8) == 4
 
 
+def make_windows(events: list, window: int) -> list[list]:
+    """Cut a sequence into non-overlapping chunks of the window length; a
+    shorter tail is kept when it still has an input step and a target.  The
+    record-list reference for ``Dataset.user_windows`` and ``poi_windows``."""
+    return [events[s:s + window] for s in range(0, len(events), window)
+            if len(events) - s >= 2]
+
+
 def test_make_windows_tail_rule():
     events = list(range(7))
     assert make_windows(events, 3) == [[0, 1, 2], [3, 4, 5]]  # lone tail dropped
     assert make_windows(list(range(8)), 3) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+
+
+def random_records(rng):
+    """A few users' check-ins at random times (ties included) and places."""
+    records = []
+    for user in range(int(rng.integers(2, 6))):
+        n = int(rng.integers(3, 16))
+        times = rng.integers(0, 40, n) * 3600
+        lat, lon = rng.uniform(-1, 1, 2)
+        records += [CheckIn(user, int(t), float(lat), float(lon), int(p))
+                    for t, p in zip(times, rng.integers(0, 7, n))]
+    return records
+
+
+def same_batch(a, b):
+    pairs = [*zip(a.steps, b.steps), (a.context, b.context), (a.targets, b.targets),
+             (a.mask, b.mask)]
+    return (len(a.steps) == len(b.steps) and all(np.array_equal(x, y) for x, y in pairs)
+            and (a.recall is None) == (b.recall is None)
+            and (a.recall is None or np.array_equal(a.recall, b.recall)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_window_views_equal_the_record_windows(seed):
+    """Each training window is an Events view that reads like the record list
+    ``make_windows`` cuts from the owner's training records, and packs alike."""
+    rng = np.random.default_rng(seed)
+    ds = build_dataset(random_records(rng), split_ratio=float(rng.uniform(0.5, 1.0)),
+                       window=int(rng.integers(2, 7)))
+    nets = (UserNet(ds.n_users, ds.n_pois, dim=3, beta=1.0, seed=seed),
+            PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots, dim=3, slot_dim=2, seed=seed))
+    for views, parts, net in ((ds.user_windows, ds.train, nets[0]),
+                              (ds.poi_windows, ds.poi_train, nets[1])):
+        lists = [w for records in parts for w in make_windows(records, ds.window)]
+        assert len(views) == len(lists) and views == lists
+        for view, records in zip(views, lists):
+            assert len(view) == len(records) and list(view) == records
+            assert [view[i] for i in range(len(view))] == records
+            assert view[-1] == records[-1] and type(view[0]) is type(records[0])
+            for k in range(len(records) + 2):
+                assert len(view[:k]) == len(records[:k]) and view[:k] == records[:k]
+            assert view[1:-1] == records[1:-1]
+        if lists:
+            assert same_batch(net.pack(views), net.pack(lists))
+            assert same_batch(net.pack(views), net.pack(ds.windows(net.grouping)))
 
 
 def trajectory(user, pois, start=1_000_000, step=3600, lat=0.0, lon=0.0):

@@ -16,6 +16,7 @@ from nextloc.evaluate import (VARIANTS, WIRING, EvalReport, FusionStrategy,
                               motivation_stats,
                               rank_of_truth, rank_top_k, run_battery,
                               single_report)
+from nextloc.net import WindowNet
 from nextloc.poi_net import PoiNet
 from nextloc.user_net import UserNet
 
@@ -497,6 +498,26 @@ class TestReports:
                                   s_u_mode="static")
             outputs.append({v: r.to_json() for v, r in reports.items()})
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("request_kw, message", [
+        (dict(variants=("poi_net_only",)), "top-k 10 exceeds the 3 candidates"),
+        (dict(variants=("full", "fused")), "unknown variant"),
+        (dict(variants=("full",), s_u_mode="hourly"), "unknown user-side mode"),
+    ])
+    def test_refused_battery_trains_nothing(self, request_kw, message, monkeypatch):
+        """A request the dataset cannot serve is refused before any network
+        is trained, not after the first seed's training."""
+        calls = []
+        train = WindowNet.train
+        monkeypatch.setattr(WindowNet, "train",
+                            lambda net, *a, **kw: calls.append(net) or train(net, *a, **kw))
+        three_users = generate_synthetic(SyntheticSpec(n_users=3), seed=0)
+        settings = TrainSettings(dim=4, slot_dim=2, epochs=1)
+        with pytest.raises(ValueError, match=message):
+            run_battery(three_users, seeds=(0,), settings=settings, **request_kw)
+        assert calls == []
+        run_battery(three_users, variants=("full",), seeds=(0,), settings=settings)
+        assert len(calls) == 2
 
     def test_aggregate_means_per_seed_metrics(self):
         def fake_run(seed, mrr_value):

@@ -1,6 +1,7 @@
 """The trainer and loader both networks share (nextloc.net)."""
 
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -75,6 +76,96 @@ def test_mini_batch_train_matches_hand_loop(small_dataset, kind):
     for name, tensor in trained.named_parameters().items():
         np.testing.assert_allclose(tensor.values, by_hand.named_parameters()[name].values,
                                    rtol=0, atol=1e-12, err_msg=name)
+
+
+def pool_batch(ds, net):
+    return net.pack(ds.windows(net.grouping))
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_full_batch_chunks_take_the_one_chunk_step(small_dataset, kind, optimizer,
+                                                   monkeypatch):
+    """A full-batch epoch over several chunks, each backpropagated at its
+    share of the rows, takes the step of one chunk holding the pool."""
+    whole = NETS[kind](small_dataset)
+    monkeypatch.setattr(ad, "HEAD_CELLS", 1 << 40)
+    want_log = whole.train(small_dataset, epochs=3, lr=0.01, optimizer=optimizer)
+    packed = pool_batch(small_dataset, whole)
+    n_candidates = whole.w_out.shape[1]
+    # One row (every window alone, each longer than the budget), then a
+    # quarter of the pool's rows (runs of windows).
+    for budget in (n_candidates, packed.rows // 4 * n_candidates):
+        monkeypatch.setattr(ad, "HEAD_CELLS", budget)
+        chunks = whole.chunks(packed)
+        sizes = [c.context.size for c in chunks]
+        assert len(chunks) >= 3 and sum(sizes) == packed.context.size
+        assert max(sizes) == 1 if budget == n_candidates else max(sizes) > 1
+        assert all(c.rows <= budget // n_candidates or c.context.size == 1 for c in chunks)
+        chunked = NETS[kind](small_dataset)
+        log = chunked.train(small_dataset, epochs=3, lr=0.01, optimizer=optimizer)
+        np.testing.assert_allclose(log, want_log, rtol=0, atol=1e-12)
+        for name, tensor in chunked.named_parameters().items():
+            np.testing.assert_allclose(tensor.values, whole.named_parameters()[name].values,
+                                       rtol=0, atol=1e-12, err_msg=f"{name} at {budget}")
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_pool_within_one_chunk_is_one_tape_per_epoch(small_dataset, kind):
+    trained, by_hand = NETS[kind](small_dataset), NETS[kind](small_dataset)
+    packed = pool_batch(small_dataset, by_hand)
+    assert len(trained.chunks(packed)) == 1
+    log = trained.train(small_dataset, epochs=3, lr=0.01)
+    opt = ad.make_optimizer("adam", by_hand.parameters(), 0.01)
+    hand_log = []
+    for _ in range(3):
+        tape = ad.Tape()
+        loss = by_hand.window_loss(packed, tape)
+        tape.backward(loss)
+        opt.step()
+        hand_log.append(float(loss.values) * packed.rows / packed.rows)   # the row-weighted mean
+    assert log == hand_log
+    for name, tensor in trained.named_parameters().items():
+        assert np.array_equal(tensor.values, by_hand.named_parameters()[name].values), name
+
+
+def training_peak(net, ds):
+    """Bytes traced at the peak of ``net``'s training, above what it holds
+    once its pool is packed."""
+    packed_at = []
+    pack = net.pack
+
+    def pack_then_reset(windows):
+        batch = pack(windows)
+        tracemalloc.reset_peak()
+        packed_at.append(tracemalloc.get_traced_memory()[0])
+        return batch
+
+    net.pack = pack_then_reset
+    tracemalloc.start()
+    try:
+        net.train(ds, epochs=2)
+        return tracemalloc.get_traced_memory()[1] - packed_at[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_chunked_full_batch_training_holds_one_chunk_at_a_time(small_dataset, kind,
+                                                              monkeypatch):
+    """Chunks are run one after another and dropped: a pool cut into six or
+    more chunks trains at under half the peak of one chunk holding it (about
+    a fifth, measured)."""
+    net = NETS[kind](small_dataset)
+    packed = pool_batch(small_dataset, net)
+    budget = packed.rows // 6 * net.w_out.shape[1]
+    monkeypatch.setattr(ad, "HEAD_CELLS", budget)
+    assert len(net.chunks(packed)) >= 6
+    NETS[kind](small_dataset).train(small_dataset, epochs=1)   # starts the head's helper
+    chunked = training_peak(NETS[kind](small_dataset), small_dataset)
+    monkeypatch.setattr(ad, "HEAD_CELLS", 1 << 40)
+    whole = training_peak(NETS[kind](small_dataset), small_dataset)
+    assert chunked < whole / 2
 
 
 @pytest.mark.parametrize("kind", sorted(NETS))
