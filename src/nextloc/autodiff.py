@@ -4,10 +4,10 @@ Small by design: the models trained here have ten-dimensional embeddings and
 a vanilla recurrent cell.  Each op records one backward closure on an explicit
 tape; passing ``tape=None`` runs it forward-only.
 
-Both networks train through one fused op, ``recurrent_window_loss``, which
-computes a padded batch's whole loss in plain numpy and records a single
-closure with hand-written backpropagation through time, because per-op
-overhead, not arithmetic, set the cost of training.  Its forward is made of
+Both networks train through one fused op, ``recurrent_window_loss``: a padded
+batch's loss and, by hand-written backpropagation through time, its gradient,
+in plain numpy, one run of windows at a time, as one tape node, because
+per-op overhead, not arithmetic, set training's cost.  Its forward is made of
 the two pieces prediction runs as well: ``recurrent_states``, the one tanh
 recurrence, and ``output_softmax``, the one output layer.  The recall weights
 come from the network (``UserNet._recall``), also shared by both paths.
@@ -28,10 +28,10 @@ import numpy as np
 
 from .data import DataError
 
-#: Cells (candidates x rows) of the two row blocks ``recurrent_window_loss``'s
-#: output layer scores at once, and of one chunk of rows the stepwise
-#: evaluation walk scores, 8 MiB of float64: neither grows with the rows of a
-#: batch or the cuts read.
+#: Cells (candidates x rows) in flight at once, 8 MiB of float64: the two row
+#: blocks ``recurrent_window_loss``'s head scores together, or the two chunks
+#: the stepwise walk's row streams hold.  A run of training windows
+#: (``window_runs``) predicts at most ``HEAD_CELLS // candidates`` rows.
 HEAD_CELLS = 1 << 20
 
 
@@ -78,16 +78,14 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def backward(self, loss: Tensor, grad: float = 1.0) -> None:
-        """Add to every tracked tensor's gradient ``grad`` times the
-        derivative of the scalar ``loss``.  A ``grad`` other than 1 is the
-        weight of this loss in a sum taken over several tapes, such as a
-        full-batch epoch's chunks in ``WindowNet.train``."""
+    def backward(self, loss: Tensor) -> None:
+        """Add to every tracked tensor's gradient the derivative of the
+        scalar ``loss``."""
         if loss.values.shape != ():
             raise ValueError("backward() expects a scalar loss")
         if not loss.requires_grad:
             raise ValueError("loss does not depend on any tracked tensor")
-        loss.grad[...] = grad
+        loss.grad[...] = 1.0
         for fn in reversed(self._nodes):
             fn()
 
@@ -271,19 +269,20 @@ def _check_ids(table: Tensor, ids: np.ndarray) -> None:
         raise ValueError(f"embedding index out of range for table with {table.shape[0]} rows")
 
 
-def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
-                     cell: tuple[Tensor, Tensor, Tensor]) -> tuple[np.ndarray, np.ndarray]:
-    """The recurrence of training and prediction: the tanh cell
-    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``, from h = 0.
+def _step_inputs(inputs: Sequence[tuple[Tensor, np.ndarray]]) -> np.ndarray:
+    """Step inputs (B, K, Din): the rows ``table[ids]`` of each ``(table, ids)``, joined."""
+    return np.concatenate([table.values[ids] for table, ids in inputs], axis=-1)
 
-    Step k of window b reads the rows ``table[ids[b, k]]`` of each
-    ``(table, ids)`` in ``inputs``, concatenated.  Returns the step inputs
-    (B, K, Din) and the states (B, K, D).
-    """
+
+def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
+                     cell: tuple[Tensor, Tensor, Tensor]) -> np.ndarray:
+    """The recurrence of training and prediction: the tanh cell
+    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``, from h = 0,
+    over the ``_step_inputs`` x of ``inputs``.  Returns the states (B, K, D)."""
     for table, ids in inputs:
         _check_ids(table, ids)
     w_hidden, w_input, b_hidden = cell
-    x = np.concatenate([table.values[ids] for table, ids in inputs], axis=-1)
+    x = _step_inputs(inputs)
     n_windows, n_steps, _ = x.shape
     dim = w_hidden.shape[0]
     x_in = (x.reshape(-1, x.shape[2]) @ w_input.values).reshape(n_windows, n_steps, dim)
@@ -292,7 +291,7 @@ def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
     for k in range(n_steps):
         h = np.tanh(h @ w_hidden.values + x_in[:, k] + b_hidden.values)
         states[:, k] = h
-    return x, states
+    return states
 
 
 def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor],
@@ -372,14 +371,13 @@ def _in_pairs(score, blocks: list[slice], n_cells: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _score_head_block(rows: slice, out, agg, ctx, head, y, nll, d_full, cells):
-    """Score one row block of ``recurrent_window_loss``'s head.
-
-    Writes the rows' cross-entropy into ``nll`` and, given ``d_full``, their
-    feature gradients into it, and returns the block's part of the gradients
-    of ``w_out``ᵀ (C, F) and ``b_out`` (C,), or None without ``d_full``.
-    Sets its own error state: numpy's does not reach the helper thread.
-    """
+def _score_head_block(rows: slice, out, agg, ctx, head, y, nll, d_full, cells, weight):
+    """Score one row block of a run of ``recurrent_window_loss``'s windows:
+    write the rows' cross-entropy into ``nll`` and, given ``d_full``, their
+    feature gradients at ``weight`` per row into it, and return the block's
+    parts of the gradients of ``w_out``ᵀ (C, F) and ``b_out`` (C,), or None
+    without ``d_full``.  Sets its own error state: numpy's does not reach the
+    helper thread."""
     n = rows.stop - rows.start
     if out is not None:
         out = out[:head[0].shape[1] * n].reshape(-1, n)
@@ -387,9 +385,22 @@ def _score_head_block(rows: slice, out, agg, ctx, head, y, nll, d_full, cells):
     if d_full is None:
         return None
     g[y[rows], np.arange(n)] -= 1.0
-    g *= 1.0 / y.size
+    g *= weight
     d_full.reshape(-1, features.shape[1])[cells[rows]] = (head[0].values @ g).T
     return g @ features, g.sum(axis=1)
+
+
+def window_runs(mask: np.ndarray, n_candidates: int) -> list[slice]:
+    """The runs of windows ``recurrent_window_loss`` takes one at a time:
+    consecutive rows of ``mask`` (B, K) holding at most ``HEAD_CELLS //
+    n_candidates`` predicted rows each, or one window that alone holds more."""
+    limit = HEAD_CELLS // n_candidates
+    ends = np.cumsum(mask.sum(axis=1))
+    bounds = [0]
+    while bounds[-1] < ends.size:
+        done = ends[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(bounds[-1] + 1, int(np.searchsorted(ends, done + limit, "right"))))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -406,101 +417,109 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     the window's ``context`` row.  The loss is the mean cross-entropy against
     ``targets`` (B, K) over the rows where ``mask`` (B, K) is true; each
     window's valid steps are a prefix, so padding after them reaches no valid
-    row.  One tape node, whose backward is backpropagation through time.
+    row.  One tape node.
 
-    The head scores the rows in blocks of ``HEAD_CELLS // 2 // candidates``;
-    when a tape records, each block forms its part of the head's gradient at
-    once and its softmax is dropped.  A batch of one block is scored on the
-    calling thread; larger ones two blocks at a time, on the calling thread
-    and one helper thread, so at most ``HEAD_CELLS`` cells are in flight and,
-    besides the batch's states, memory stays O(HEAD_CELLS + rows x features).
-    Each block's partial gradients are added in block order as its pair
-    completes, so the result does not depend on the threads' scheduling.
-    Overflow on the way only shows as a non-finite loss or gradient, which
-    raises NumericsError, so numpy's warnings about it are silenced.
+    The batch runs one ``window_runs`` run at a time, padded to its longest
+    window: its recurrence, head and, when a tape records, backpropagation
+    through time, whose gradients (at 1 / the batch's rows per row) are added
+    into one buffer per parameter in run order; the node's backward adds the
+    buffers, times the loss gradient, to the parameters' gradients.  One run
+    is the whole batch's arithmetic; more sum it in another order.  The head
+    scores a run in blocks of ``HEAD_CELLS // 2 // candidates`` rows, two at
+    a time on the calling and the helper thread once there are more
+    (``_in_pairs``), their parts added in block order, so results do not
+    depend on scheduling.  Memory, besides the batch's arrays and the
+    buffers: ``HEAD_CELLS`` cells and one run's padded steps x (D + features).
+    Overflow only shows as a non-finite loss or gradient, which raises
+    NumericsError, so numpy's warnings about it are silenced.
     """
     mask = np.asarray(mask, dtype=bool)
-    w_hidden, w_input, b_hidden = cell
-    w_out, b_out = head
+    targets = np.asarray(targets, dtype=np.intp)
     table, ids = context
     _check_ids(table, ids)
-    y = np.asarray(targets, dtype=np.intp)[mask]
-    n_rows = y.size
-    n_candidates = w_out.shape[1]
-    if y.size and (y.min() < 0 or y.max() >= n_candidates):
-        raise ValueError(f"target index out of range for {n_candidates} classes")
-    x, states = recurrent_states(inputs, cell)
-    agg = (states if recall is None else recall @ states)[mask]
-    ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
-    params = [t for t, _ in inputs] + [table, *cell, *head]
+    params = list({id(t): t for t in [t for t, _ in inputs] + [table, *cell, *head]}.values())
     record = tape is not None and any(t.requires_grad for t in params)
-    # The head's gradient at a loss gradient of 1: w_outᵀ, b_out, and the
-    # features at each (window, step), zero at padded steps.
-    n_features = agg.shape[1] + ctx.shape[1]
-    d_full = cells = None
-    if record:
-        d_w_out = np.zeros((n_candidates, n_features))
-        d_b_out = np.zeros(n_candidates)
-        d_full = np.zeros(mask.shape + (n_features,))
-        cells = np.flatnonzero(mask)
-    nll = np.empty(n_rows)
-    step = max(1, HEAD_CELLS // 2 // n_candidates)
-    blocks = [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-    score = functools.partial(_score_head_block, agg=agg, ctx=ctx, head=head, y=y, nll=nll,
-                              d_full=d_full, cells=cells)
-    # Partials are added in block order whichever thread formed them, so the
-    # sum does not depend on scheduling.
-    for part in _in_pairs(score, blocks, step * n_candidates):
-        if record:
-            d_w_out += part[0]
-            d_b_out += part[1]
-    loss_value = float(np.mean(nll))
+    grads = {id(t): np.zeros_like(t.values) for t in params} if record else None
+    lengths = mask.sum(axis=1)
+    n_rows = int(lengths.sum())
+    total = 0.0
+    for run in window_runs(mask, head[0].shape[1]):
+        k = int(lengths[run].max())
+        total += _run_windows([(t, i[run, :k]) for t, i in inputs], cell, (table, ids[run]),
+                              head, targets[run, :k], mask[run, :k],
+                              None if recall is None else recall[run, :k, :k],
+                              grads, 1.0 / n_rows)
+    loss_value = total / n_rows
     if not math.isfinite(loss_value):
         raise NumericsError("non-finite value in recurrent_window_loss")
     out = _make_output(np.float64(loss_value), params)
-    if not record:
-        return out
-    dim = states.shape[2]
+    if record:
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def backward():
-        d_loss = float(out.grad)
-        if w_out.requires_grad:
-            w_out.grad += (d_w_out * d_loss).T
-        if b_out.requires_grad:
-            b_out.grad += (d_b_out * d_loss).reshape(b_out.shape)
-        np.multiply(d_full, d_loss, out=d_full)
-        table, ids = context
-        if table.requires_grad:
-            _scatter_rows(table.grad, ids, d_full[:, :, dim:].sum(axis=1))
-        d_states = d_full[:, :, :dim]
-        if recall is not None:
-            d_states = recall.transpose(0, 2, 1) @ d_states
-        # Backpropagation through time; padded steps receive exact zeros.
-        d_pre = np.empty_like(states)
-        carry = np.zeros_like(states[:, 0])
-        for k in reversed(range(states.shape[1])):
-            h = states[:, k]
-            d_pre[:, k] = (d_states[:, k] + carry) * (1.0 - h * h)
-            carry = d_pre[:, k] @ w_hidden.values.T
-        flat = d_pre.reshape(-1, dim)
-        if w_hidden.requires_grad:
-            prev = np.concatenate([np.zeros_like(states[:, :1]), states[:, :-1]], axis=1)
-            w_hidden.grad += prev.reshape(-1, dim).T @ flat
-        if w_input.requires_grad:
-            w_input.grad += x.reshape(-1, x.shape[2]).T @ flat
-        if b_hidden.requires_grad:
-            b_hidden.grad += _unbroadcast(flat, b_hidden.shape)
-        d_x = d_pre[mask] @ w_input.values.T
-        offset = 0
-        for table, ids in inputs:
-            width = table.shape[1]
-            if table.requires_grad:
-                _scatter_rows(table.grad, ids[mask], d_x[:, offset:offset + width])
-            offset += width
+        def backward():
+            d_loss = float(out.grad)
+            for t in params:
+                if t.requires_grad:
+                    t.grad += grads[id(t)] * d_loss
 
-    tape.record(backward)
+        tape.record(backward)
     return out
+
+
+def _run_windows(inputs, cell, context, head, targets, mask, recall, grads, weight) -> float:
+    """One run of ``recurrent_window_loss``: its rows' summed cross-entropy;
+    their gradients, at ``weight`` per row, are added into ``grads`` (buffers
+    by parameter id), if given.  Nothing it allocates outlives the call."""
+    w_hidden, w_input, b_hidden = cell
+    w_out, b_out = head
+    y = targets[mask]
+    if y.size and (y.min() < 0 or y.max() >= w_out.shape[1]):
+        raise ValueError(f"target index out of range for {w_out.shape[1]} classes")
+    states = recurrent_states(inputs, cell)
+    agg = (states if recall is None else recall @ states)[mask]
+    table, ids = context
+    ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
+    nll = np.empty(y.size)
+    d_full = cells = None
+    if grads is not None:
+        # The features' gradient at each (window, step), zero at padded steps.
+        d_full = np.zeros(mask.shape + (agg.shape[1] + ctx.shape[1],))
+        cells = np.flatnonzero(mask)
+        d_w_out, d_b_out = grads[id(w_out)].T, grads[id(b_out)].reshape(-1)
+    step = max(1, HEAD_CELLS // 2 // w_out.shape[1])
+    blocks = [slice(lo, min(lo + step, y.size)) for lo in range(0, y.size, step)]
+    score = functools.partial(_score_head_block, agg=agg, ctx=ctx, head=head, y=y, nll=nll,
+                              d_full=d_full, cells=cells, weight=weight)
+    for part in _in_pairs(score, blocks, step * w_out.shape[1]):
+        if grads is not None:
+            d_w_out += part[0]
+            d_b_out += part[1]
+    if grads is None:
+        return nll.sum()
+    dim = states.shape[2]
+    _scatter_rows(grads[id(table)], ids, d_full[:, :, dim:].sum(axis=1))
+    d_states = d_full[:, :, :dim]
+    if recall is not None:
+        d_states = recall.transpose(0, 2, 1) @ d_states
+    # Backpropagation through time; padded steps receive exact zeros.
+    d_pre = np.empty_like(states)
+    carry = np.zeros_like(states[:, 0])
+    for k in reversed(range(states.shape[1])):
+        h = states[:, k]
+        d_pre[:, k] = (d_states[:, k] + carry) * (1.0 - h * h)
+        carry = d_pre[:, k] @ w_hidden.values.T
+    flat = d_pre.reshape(-1, dim)
+    prev = np.concatenate([np.zeros_like(states[:, :1]), states[:, :-1]], axis=1)
+    grads[id(w_hidden)] += prev.reshape(-1, dim).T @ flat
+    x = _step_inputs(inputs)    # gathered again rather than held through the head
+    grads[id(w_input)] += x.reshape(-1, x.shape[2]).T @ flat
+    grads[id(b_hidden)] += _unbroadcast(flat, b_hidden.shape)
+    d_x = d_pre[mask] @ w_input.values.T
+    offset = 0
+    for table, ids in inputs:
+        width = table.shape[1]
+        _scatter_rows(grads[id(table)], ids[mask], d_x[:, offset:offset + width])
+        offset += width
+    return nll.sum()
 
 
 def gradient_check(fn: Callable[[Tape | None], Tensor], params: Sequence[Tensor],

@@ -94,19 +94,24 @@ def _setting_flags(parser, keys) -> None:
         parser.add_argument("--ks" if key == "top_ks" else "--" + key.replace("_", "-"), dest=key)
 
 
+def _kept_names(names: list, id_map: dict[int, int]) -> list:
+    """The names (``names[old id]``) of the ids a filter's ``id_map`` keeps
+    (old id -> new id), in new-id order."""
+    return [names[old] for old in sorted(id_map, key=id_map.__getitem__)]
+
+
 def cmd_ingest(args) -> int:
     cfg = _config(args, DATA_KEYS)
     parsed = parse_checkin_file(args.input, cfg.format)
     result = filter_inactive_users(parsed.records, cfg.min_records)
-    raw_users = {old: raw for raw, old in parsed.user_ids.items()}
-    raw_pois = {old: raw for raw, old in parsed.poi_ids.items()}
-    user_raw = [raw_users[old] for old, _ in sorted(result.user_map.items(), key=lambda kv: kv[1])]
-    poi_raw = [raw_pois[old] for old, _ in sorted(result.poi_map.items(), key=lambda kv: kv[1])]
+    # The parser's dense ids number the raw ids in first-seen order.
+    user_raw = _kept_names(list(parsed.user_ids), result.user_map)
+    poi_raw = _kept_names(list(parsed.poi_ids), result.poi_map)
     records = result.records
     if cfg.min_poi_records > 0:
         narrowed = filter_rare_pois(records, cfg.min_poi_records)
-        user_raw = [user_raw[old] for old, _ in sorted(narrowed.user_map.items(), key=lambda kv: kv[1])]
-        poi_raw = [poi_raw[old] for old, _ in sorted(narrowed.poi_map.items(), key=lambda kv: kv[1])]
+        user_raw = _kept_names(user_raw, narrowed.user_map)
+        poi_raw = _kept_names(poi_raw, narrowed.poi_map)
         records = narrowed.records
     dataset = build_dataset(records, cfg.split_ratio, cfg.window, cfg.slots,
                             user_raw=user_raw, poi_raw=poi_raw)
@@ -196,6 +201,7 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(f"variant {variant!r} needs {flag}")
     fusion = FusionStrategy.parse(cfg.fusion)
     dataset = load_dataset(args.data)
+    evaluate.check_request(dataset.n_users, dataset.n_pois, variants, cfg.top_ks, cfg.s_u_mode)
     user_net = _load_net(UserNet, args.user_ckpt, dataset) if args.user_ckpt else None
     poi_net = _load_net(PoiNet, args.poi_ckpt, dataset) if args.poi_ckpt else None
     results = evaluate.evaluate_variants(dataset, user_net, poi_net, variants, fusion,

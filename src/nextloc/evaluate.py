@@ -182,12 +182,13 @@ SUB_UPDATES = 64
 
 class _RowStream:
     """Rows of (user, cut) keys, in order, scored as they are read: one
-    ``score_states`` call per chunk of at most ``autodiff.HEAD_CELLS`` cells.
-    Only the current chunk is kept; no view of it outlives a call."""
+    ``score_states`` call per chunk of at most ``autodiff.HEAD_CELLS // 2``
+    cells, so that a walk's two streams hold at most ``HEAD_CELLS``.  Only
+    the current chunk is kept; no view of it outlives a call."""
 
     def __init__(self, net: UserNet, run, users: np.ndarray, cuts: np.ndarray):
         self.net, self.run, self.users, self.cuts = net, run, users, cuts
-        self.cap = max(1, ad.HEAD_CELLS // net.n_pois)
+        self.cap = max(1, ad.HEAD_CELLS // 2 // net.n_pois)
         self.chunk, self.lo, self.pos = None, 0, 0
 
     def _span(self, end: int) -> tuple[int, slice]:
@@ -254,9 +255,9 @@ class _UserSideRows:
     ``SUB_UPDATES`` rows v replaced inside it.  Cost: one cell pass per
     history, one head row per cut read, one users-by-places product per
     sub-block.  Memory: the histories' states, the users-by-places matrix and
-    one block's rows, plus one chunk of at most ``autodiff.HEAD_CELLS`` cells
-    per stream of scored rows (current rows, own rows): it does not grow with
-    the cuts read.
+    one block's rows, plus one chunk of at most ``autodiff.HEAD_CELLS // 2``
+    cells per stream of scored rows (current rows, own rows): it does not
+    grow with the cuts read.
     """
 
     def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,

@@ -248,7 +248,7 @@ class WindowNet:
         _, column = _padded(events, rows[np.repeat(starts, w) + np.arange(w.sum())], w)
         inputs = [(params[name], column(field)) for field, name in self.step_inputs]
         contexts = members if contexts is None else np.asarray(contexts)[members]
-        return (ad.recurrent_states(inputs, self._cell())[1],
+        return (ad.recurrent_states(inputs, self._cell()),
                 [column(field, np.float64) for field in self.recall_fields],
                 params[self.context_input[1]].values[contexts])
 
@@ -363,60 +363,33 @@ class WindowNet:
         """Fit on the training windows; returns the per-epoch loss log.
 
         The grouping's windows are packed once.  Default is one full-batch
-        step per epoch, taken over consecutive chunks of the pool (``chunks``)
-        so that no chunk holds more than one pair of head blocks: each
-        chunk's gradient is added at its share of the epoch's predicted rows,
-        which sums to the whole pool's mean loss up to the order of addition,
-        and a pool that fits one chunk is one tape as before.  With
-        batch_size set, windows are reshuffled each epoch from the seed and
-        each batch is one step.  The logged loss is the mean over the epoch's
-        predicted rows.
+        step per epoch; with batch_size set, windows are reshuffled each epoch
+        from the seed and each batch is one step.  A step is one tape, one
+        backward and one optimizer step; ``autodiff.recurrent_window_loss``
+        bounds its memory, whatever the batch's size.  The logged loss is the
+        mean over the epoch's predicted rows.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         packed = self.pack(dataset.windows(self.grouping))
         n_windows = packed.context.size
-        full = self.chunks(packed) if batch_size is None else None
         opt = ad.make_optimizer(optimizer, self.parameters(), lr)
         rng = np.random.default_rng(seed)
         log: list[float] = []
         for _ in range(epochs):
-            if batch_size is None:
-                steps = [full]
-            else:
-                order = rng.permutation(n_windows)
-                steps = ([packed.take(order[s:s + batch_size])]
-                         for s in range(0, n_windows, batch_size))
-            epoch_loss = 0.0
-            epoch_rows = 0
-            for step in steps:
-                step_rows = sum(chunk.rows for chunk in step)
-                for chunk in step:
-                    rows = chunk.rows
-                    epoch_loss += self._backward(chunk, rows / step_rows) * rows
-                    epoch_rows += rows
+            order = None if batch_size is None else rng.permutation(n_windows)
+            size = batch_size or n_windows
+            epoch_loss, epoch_rows = 0.0, 0
+            for lo in range(0, n_windows, size):
+                batch = packed if order is None else packed.take(order[lo:lo + size])
+                tape = ad.Tape()
+                loss = self.window_loss(batch, tape)
+                tape.backward(loss)
                 opt.step()
+                rows = batch.rows
+                epoch_loss += float(loss.values) * rows
+                epoch_rows += rows
+                # Dropped before the next batch is taken: one copy at a time.
+                del batch, tape
             log.append(epoch_loss / epoch_rows)
         return log
-
-    def chunks(self, batch: WindowBatch) -> list[WindowBatch]:
-        """``batch`` as consecutive runs of windows (views, not copies), each
-        of at most ``autodiff.HEAD_CELLS // candidates`` predicted rows, or
-        of one window that alone holds more."""
-        limit = ad.HEAD_CELLS // self.w_out.shape[1]
-        ends = np.cumsum(batch.mask.sum(axis=1))
-        bounds = [0]
-        while bounds[-1] < ends.size:
-            done = ends[bounds[-1] - 1] if bounds[-1] else 0
-            bounds.append(max(bounds[-1] + 1,
-                              int(np.searchsorted(ends, done + limit, side="right"))))
-        return [batch.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
-
-    def _backward(self, chunk: WindowBatch, share: float) -> float:
-        """One chunk's mean loss, its gradient added to the parameters'
-        at weight ``share``.  The tape is dropped on return, so no chunk's
-        arrays outlive its backward."""
-        tape = ad.Tape()
-        loss = self.window_loss(chunk, tape)
-        tape.backward(loss, share)
-        return float(loss.values)

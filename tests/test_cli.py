@@ -513,6 +513,18 @@ class TestEvaluate:
                          "--variant", "user_net_only",
                          "--out", str(tmp_path / "r")]) == cli.EXIT_DATA
 
+    def test_top_k_beyond_the_candidates_is_refused_before_the_checkpoints(
+            self, data_dir, tmp_path, capsys):
+        """Checked once the dataset's sizes are known, before either
+        checkpoint is read (missing ones would be a data error)."""
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", "--data", str(data_dir),
+                         "--user-ckpt", str(tmp_path / "absent_user.ckpt"),
+                         "--poi-ckpt", str(tmp_path / "absent_poi.ckpt"),
+                         "--ks", "999", "--out", str(out)]) == cli.EXIT_USAGE
+        assert "top-k 999 exceeds the 20 candidates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_from_another_dataset_is_data_error(self, data_dir, model_dir,
                                                             tmp_path, capsys):
         other = tmp_path / "other"

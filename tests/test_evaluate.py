@@ -436,7 +436,7 @@ class TestStreamedWalk:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ad, "HEAD_CELLS", 3 * small_dataset.n_pois)     # chunks of 3 rows
+        monkeypatch.setattr(ad, "HEAD_CELLS", 6 * small_dataset.n_pois)     # chunks of 3 rows
         monkeypatch.setattr(ad, "recurrent_states", counting("recurrent_states",
                                                              ad.recurrent_states))
         monkeypatch.setattr(user_net, "score_states", counting("score_states",

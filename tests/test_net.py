@@ -82,6 +82,12 @@ def pool_batch(ds, net):
     return net.pack(ds.windows(net.grouping))
 
 
+def runs(net, batch):
+    """``batch`` as the runs of windows ``recurrent_window_loss`` takes one
+    at a time."""
+    return [batch.take(run) for run in ad.window_runs(batch.mask, net.w_out.shape[1])]
+
+
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_full_batch_chunks_take_the_one_chunk_step(small_dataset, kind, optimizer,
@@ -97,7 +103,7 @@ def test_full_batch_chunks_take_the_one_chunk_step(small_dataset, kind, optimize
     # quarter of the pool's rows (runs of windows).
     for budget in (n_candidates, packed.rows // 4 * n_candidates):
         monkeypatch.setattr(ad, "HEAD_CELLS", budget)
-        chunks = whole.chunks(packed)
+        chunks = runs(whole, packed)
         sizes = [c.context.size for c in chunks]
         assert len(chunks) >= 3 and sum(sizes) == packed.context.size
         assert max(sizes) == 1 if budget == n_candidates else max(sizes) > 1
@@ -114,7 +120,7 @@ def test_full_batch_chunks_take_the_one_chunk_step(small_dataset, kind, optimize
 def test_pool_within_one_chunk_is_one_tape_per_epoch(small_dataset, kind):
     trained, by_hand = NETS[kind](small_dataset), NETS[kind](small_dataset)
     packed = pool_batch(small_dataset, by_hand)
-    assert len(trained.chunks(packed)) == 1
+    assert len(runs(trained, packed)) == 1
     log = trained.train(small_dataset, epochs=3, lr=0.01)
     opt = ad.make_optimizer("adam", by_hand.parameters(), 0.01)
     hand_log = []
@@ -129,7 +135,7 @@ def test_pool_within_one_chunk_is_one_tape_per_epoch(small_dataset, kind):
         assert np.array_equal(tensor.values, by_hand.named_parameters()[name].values), name
 
 
-def training_peak(net, ds):
+def training_peak(net, ds, batch_size=None):
     """Bytes traced at the peak of ``net``'s training, above what it holds
     once its pool is packed."""
     packed_at = []
@@ -144,27 +150,30 @@ def training_peak(net, ds):
     net.pack = pack_then_reset
     tracemalloc.start()
     try:
-        net.train(ds, epochs=2)
+        net.train(ds, epochs=2, batch_size=batch_size)
         return tracemalloc.get_traced_memory()[1] - packed_at[0]
     finally:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("mini_batch", [False, True])
 @pytest.mark.parametrize("kind", sorted(NETS))
 def test_chunked_full_batch_training_holds_one_chunk_at_a_time(small_dataset, kind,
-                                                              monkeypatch):
+                                                              mini_batch, monkeypatch):
     """Chunks are run one after another and dropped: a pool cut into six or
     more chunks trains at under half the peak of one chunk holding it (about
-    a fifth, measured)."""
+    a fifth, measured).  A mini-batch holding the whole pool is cut the same
+    way (under a half: both peaks also hold the batch's copy of the pool)."""
     net = NETS[kind](small_dataset)
     packed = pool_batch(small_dataset, net)
+    batch_size = packed.context.size if mini_batch else None
     budget = packed.rows // 6 * net.w_out.shape[1]
     monkeypatch.setattr(ad, "HEAD_CELLS", budget)
-    assert len(net.chunks(packed)) >= 6
+    assert len(runs(net, packed)) >= 6
     NETS[kind](small_dataset).train(small_dataset, epochs=1)   # starts the head's helper
-    chunked = training_peak(NETS[kind](small_dataset), small_dataset)
+    chunked = training_peak(NETS[kind](small_dataset), small_dataset, batch_size)
     monkeypatch.setattr(ad, "HEAD_CELLS", 1 << 40)
-    whole = training_peak(NETS[kind](small_dataset), small_dataset)
+    whole = training_peak(NETS[kind](small_dataset), small_dataset, batch_size)
     assert chunked < whole / 2
 
 

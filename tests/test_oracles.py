@@ -398,7 +398,7 @@ def context_rows(model, events, context, cuts):
     events = Events.of(events)
     inputs = [(params[name], getattr(events, field).astype(np.intp)[None])
               for field, name in model.step_inputs]
-    states = ad.recurrent_states(inputs, model._cell())[1][0]
+    states = ad.recurrent_states(inputs, model._cell())[0]
     last = cuts[live] - 1
     if model.recall_fields:
         width = int(last.max()) + 1
@@ -551,7 +551,7 @@ def test_grouped_prediction_matches_the_per_context_oracles(case):
         mp.setattr(net, "CUT_BLOCK", cut_block)
         mp.setattr(net, "CELL_BUDGET", budget)
         if chunk is not None:
-            mp.setattr(ad, "HEAD_CELLS", chunk * ds.n_pois)
+            mp.setattr(ad, "HEAD_CELLS", 2 * chunk * ds.n_pois)
         if sub_block is not None:
             mp.setattr(evaluate, "RANK_BLOCK", sub_block)
             mp.setattr(evaluate, "SUB_UPDATES", sub_block)
