@@ -269,20 +269,19 @@ def _check_ids(table: Tensor, ids: np.ndarray) -> None:
         raise ValueError(f"embedding index out of range for table with {table.shape[0]} rows")
 
 
-def _step_inputs(inputs: Sequence[tuple[Tensor, np.ndarray]]) -> np.ndarray:
-    """Step inputs (B, K, Din): the rows ``table[ids]`` of each ``(table, ids)``, joined."""
-    return np.concatenate([table.values[ids] for table, ids in inputs], axis=-1)
-
-
 def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
-                     cell: tuple[Tensor, Tensor, Tensor]) -> np.ndarray:
+                     cell: tuple[Tensor, Tensor, Tensor]) -> tuple[np.ndarray, np.ndarray]:
     """The recurrence of training and prediction: the tanh cell
-    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``, from h = 0,
-    over the ``_step_inputs`` x of ``inputs``.  Returns the states (B, K, D)."""
+    ``h = tanh(h @ w_hidden + x @ w_input + b_hidden)`` of ``cell``, from h = 0.
+
+    Step k of window b reads the rows ``table[ids[b, k]]`` of each
+    ``(table, ids)`` in ``inputs``, concatenated.  Returns the step inputs
+    (B, K, Din) and the states (B, K, D).
+    """
     for table, ids in inputs:
         _check_ids(table, ids)
     w_hidden, w_input, b_hidden = cell
-    x = _step_inputs(inputs)
+    x = np.concatenate([table.values[ids] for table, ids in inputs], axis=-1)
     n_windows, n_steps, _ = x.shape
     dim = w_hidden.shape[0]
     x_in = (x.reshape(-1, x.shape[2]) @ w_input.values).reshape(n_windows, n_steps, dim)
@@ -291,7 +290,7 @@ def recurrent_states(inputs: Sequence[tuple[Tensor, np.ndarray]],
     for k in range(n_steps):
         h = np.tanh(h @ w_hidden.values + x_in[:, k] + b_hidden.values)
         states[:, k] = h
-    return states
+    return x, states
 
 
 def output_softmax(agg: np.ndarray, ctx: np.ndarray, head: tuple[Tensor, Tensor],
@@ -371,17 +370,19 @@ def _in_pairs(score, blocks: list[slice], n_cells: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _score_head_block(rows: slice, out, agg, ctx, head, y, nll, d_full, cells, weight):
-    """Score one row block of a run of ``recurrent_window_loss``'s windows:
-    write the rows' cross-entropy into ``nll`` and, given ``d_full``, their
-    feature gradients at ``weight`` per row into it, and return the block's
-    parts of the gradients of ``w_out``ᵀ (C, F) and ``b_out`` (C,), or None
-    without ``d_full``.  Sets its own error state: numpy's does not reach the
-    helper thread."""
+def _score_head_block(rows: slice, out, agg, context, head, y, nll, d_full, cells, weight):
+    """Score one row block of a run of ``recurrent_window_loss``'s windows,
+    row i read with the row ``table[owners[i]]`` of ``context``: write the
+    rows' cross-entropy into ``nll`` and, given ``d_full``, their feature
+    gradients at ``weight`` per row into it; return the block's parts of the
+    gradients of ``w_out``ᵀ (C, F) and ``b_out`` (C,), or None without
+    ``d_full``.  Sets its own error state: numpy's does not reach the helper."""
     n = rows.stop - rows.start
     if out is not None:
         out = out[:head[0].shape[1] * n].reshape(-1, n)
-    features, g, nll[rows] = output_softmax(agg[rows], ctx[rows], head, y[rows], out)
+    table, owners = context    # rows gathered per block, as an argument: dropped on return
+    features, g, nll[rows] = output_softmax(agg[rows], table.values.take(owners[rows], axis=0),
+                                            head, y[rows], out)
     if d_full is None:
         return None
     g[y[rows], np.arange(n)] -= 1.0
@@ -390,12 +391,12 @@ def _score_head_block(rows: slice, out, agg, ctx, head, y, nll, d_full, cells, w
     return g @ features, g.sum(axis=1)
 
 
-def window_runs(mask: np.ndarray, n_candidates: int) -> list[slice]:
-    """The runs of windows ``recurrent_window_loss`` takes one at a time:
-    consecutive rows of ``mask`` (B, K) holding at most ``HEAD_CELLS //
-    n_candidates`` predicted rows each, or one window that alone holds more."""
+def window_runs(lengths: np.ndarray, n_candidates: int) -> list[slice]:
+    """The runs of windows ``recurrent_window_loss`` takes one at a time: of
+    consecutive windows with ``lengths`` predicted rows, at most ``HEAD_CELLS
+    // n_candidates`` rows in all, or one window that alone holds more."""
     limit = HEAD_CELLS // n_candidates
-    ends = np.cumsum(mask.sum(axis=1))
+    ends = np.cumsum(lengths)
     bounds = [0]
     while bounds[-1] < ends.size:
         done = ends[bounds[-1] - 1] if bounds[-1] else 0
@@ -439,11 +440,11 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     _check_ids(table, ids)
     params = list({id(t): t for t in [t for t, _ in inputs] + [table, *cell, *head]}.values())
     record = tape is not None and any(t.requires_grad for t in params)
-    grads = {id(t): np.zeros_like(t.values) for t in params} if record else None
+    grads = {id(t): np.zeros(t.shape) for t in params} if record else None
     lengths = mask.sum(axis=1)
     n_rows = int(lengths.sum())
     total = 0.0
-    for run in window_runs(mask, head[0].shape[1]):
+    for run in window_runs(lengths, head[0].shape[1]):
         k = int(lengths[run].max())
         total += _run_windows([(t, i[run, :k]) for t, i in inputs], cell, (table, ids[run]),
                               head, targets[run, :k], mask[run, :k],
@@ -474,21 +475,21 @@ def _run_windows(inputs, cell, context, head, targets, mask, recall, grads, weig
     y = targets[mask]
     if y.size and (y.min() < 0 or y.max() >= w_out.shape[1]):
         raise ValueError(f"target index out of range for {w_out.shape[1]} classes")
-    states = recurrent_states(inputs, cell)
+    x, states = recurrent_states(inputs, cell)
     agg = (states if recall is None else recall @ states)[mask]
     table, ids = context
-    ctx = np.repeat(table.values[ids], mask.sum(axis=1), axis=0)
+    owners = np.repeat(ids, mask.sum(axis=1))    # each row's context id
     nll = np.empty(y.size)
     d_full = cells = None
     if grads is not None:
         # The features' gradient at each (window, step), zero at padded steps.
-        d_full = np.zeros(mask.shape + (agg.shape[1] + ctx.shape[1],))
+        d_full = np.zeros(mask.shape + (agg.shape[1] + table.shape[1],))
         cells = np.flatnonzero(mask)
         d_w_out, d_b_out = grads[id(w_out)].T, grads[id(b_out)].reshape(-1)
     step = max(1, HEAD_CELLS // 2 // w_out.shape[1])
     blocks = [slice(lo, min(lo + step, y.size)) for lo in range(0, y.size, step)]
-    score = functools.partial(_score_head_block, agg=agg, ctx=ctx, head=head, y=y, nll=nll,
-                              d_full=d_full, cells=cells, weight=weight)
+    score = functools.partial(_score_head_block, agg=agg, context=(table, owners), head=head,
+                              y=y, nll=nll, d_full=d_full, cells=cells, weight=weight)
     for part in _in_pairs(score, blocks, step * w_out.shape[1]):
         if grads is not None:
             d_w_out += part[0]
@@ -510,7 +511,6 @@ def _run_windows(inputs, cell, context, head, targets, mask, recall, grads, weig
     flat = d_pre.reshape(-1, dim)
     prev = np.concatenate([np.zeros_like(states[:, :1]), states[:, :-1]], axis=1)
     grads[id(w_hidden)] += prev.reshape(-1, dim).T @ flat
-    x = _step_inputs(inputs)    # gathered again rather than held through the head
     grads[id(w_input)] += x.reshape(-1, x.shape[2]).T @ flat
     grads[id(b_hidden)] += _unbroadcast(flat, b_hidden.shape)
     d_x = d_pre[mask] @ w_input.values.T

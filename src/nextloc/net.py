@@ -248,7 +248,7 @@ class WindowNet:
         _, column = _padded(events, rows[np.repeat(starts, w) + np.arange(w.sum())], w)
         inputs = [(params[name], column(field)) for field, name in self.step_inputs]
         contexts = members if contexts is None else np.asarray(contexts)[members]
-        return (ad.recurrent_states(inputs, self._cell()),
+        return (ad.recurrent_states(inputs, self._cell())[1],
                 [column(field, np.float64) for field in self.recall_fields],
                 params[self.context_input[1]].values[contexts])
 

@@ -85,7 +85,7 @@ def pool_batch(ds, net):
 def runs(net, batch):
     """``batch`` as the runs of windows ``recurrent_window_loss`` takes one
     at a time."""
-    return [batch.take(run) for run in ad.window_runs(batch.mask, net.w_out.shape[1])]
+    return [batch.take(run) for run in ad.window_runs(batch.mask.sum(axis=1), net.w_out.shape[1])]
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

@@ -398,7 +398,7 @@ def context_rows(model, events, context, cuts):
     events = Events.of(events)
     inputs = [(params[name], getattr(events, field).astype(np.intp)[None])
               for field, name in model.step_inputs]
-    states = ad.recurrent_states(inputs, model._cell())[0]
+    states = ad.recurrent_states(inputs, model._cell())[1][0]
     last = cuts[live] - 1
     if model.recall_fields:
         width = int(last.max()) + 1
