@@ -456,6 +456,7 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     out = _make_output(np.float64(loss_value), params)
     if record:
 
+        @np.errstate(over="ignore", invalid="ignore")
         def backward():
             d_loss = float(out.grad)
             for t in params:

@@ -95,8 +95,7 @@ def _setting_flags(parser, keys) -> None:
 
 
 def _kept_names(names: list, id_map: dict[int, int]) -> list:
-    """The names (``names[old id]``) of the ids a filter's ``id_map`` keeps
-    (old id -> new id), in new-id order."""
+    """``names[old]`` of each id a filter's ``id_map`` (old -> new id) keeps, in new-id order."""
     return [names[old] for old in sorted(id_map, key=id_map.__getitem__)]
 
 
