@@ -4,13 +4,14 @@ Small by design: the models trained here have ten-dimensional embeddings and
 a vanilla recurrent cell.  Each op records one backward closure on an explicit
 tape; passing ``tape=None`` runs it forward-only.
 
-Both networks train through one fused op, ``recurrent_window_loss``: a padded
-batch's loss and, by hand-written backpropagation through time, its gradient,
-in plain numpy, one run of windows at a time, as one tape node, because
-per-op overhead, not arithmetic, set training's cost.  Its forward is made of
-the two pieces prediction runs as well: ``recurrent_states``, the one tanh
-recurrence, and ``output_softmax``, the one output layer.  The recall weights
-come from the network (``UserNet._recall``), also shared by both paths.
+Both networks train through one fused op, ``recurrent_window_loss``: a
+``WindowBatch``'s loss and, by hand-written backpropagation through time, its
+gradient, in plain numpy, one run of windows at a time, as one tape node,
+because per-op overhead, not arithmetic, set training's cost.  Its forward is
+made of the two pieces prediction runs as well: ``recurrent_states``, the one
+tanh recurrence, and ``output_softmax``, the one output layer.  The recall
+weights come from the network (``UserNet._recall``), also shared by both
+paths.
 
 The generic ops (``matmul`` ... ``softmax_cross_entropy``) work on tiny 2-D
 arrays; no network uses them any more.  They serve the tests and the
@@ -19,6 +20,7 @@ benchmark's tracer, which looks them up by name.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -391,6 +393,34 @@ def _score_head_block(rows: slice, out, agg, context, head, y, nll, d_full, cell
     return g @ features, g.sum(axis=1)
 
 
+@dataclasses.dataclass(frozen=True)
+class WindowBatch:
+    """Windows of mixed lengths padded to K steps (the longest window's).
+
+    Step k of window b reads its inputs at ``steps[i][b, k]`` and predicts
+    ``targets[b, k]``; ``mask[b, k]`` marks the real steps, a prefix of each row.
+    """
+    steps: tuple[np.ndarray, ...]    # (B, K) ids, one array per step table
+    context: np.ndarray              # (B,) id of each window's context row
+    targets: np.ndarray              # (B, K)
+    mask: np.ndarray                 # (B, K) bool
+    recall: np.ndarray | None        # (B, K, K) fixed recall weights, or None
+
+    @property
+    def rows(self) -> int:
+        return int(self.mask.sum())
+
+    def take(self, index) -> "WindowBatch":
+        """The windows at ``index``, padded only to the longest of them;
+        views of this batch's arrays when ``index`` is a slice."""
+        mask = self.mask[index]
+        k = int(mask.sum(axis=1).max())
+        return WindowBatch(
+            steps=tuple(s[index, :k] for s in self.steps), context=self.context[index],
+            targets=self.targets[index, :k], mask=mask[:, :k],
+            recall=None if self.recall is None else self.recall[index, :k, :k])
+
+
 def window_runs(lengths: np.ndarray, n_candidates: int) -> list[slice]:
     """The runs of windows ``recurrent_window_loss`` takes one at a time: of
     consecutive windows with ``lengths`` predicted rows, at most ``HEAD_CELLS
@@ -405,51 +435,42 @@ def window_runs(lengths: np.ndarray, n_candidates: int) -> list[slice]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
-                          cell: tuple[Tensor, Tensor, Tensor],
-                          context: tuple[Tensor, np.ndarray],
-                          head: tuple[Tensor, Tensor],
-                          targets, mask, recall=None, tape: Tape | None = None) -> Tensor:
-    """Mean next-step cross-entropy of a padded batch of windows, as one op.
+def recurrent_window_loss(batch: WindowBatch, tables: Sequence[Tensor], context: Tensor,
+                          cell: tuple[Tensor, Tensor, Tensor], head: tuple[Tensor, Tensor],
+                          tape: Tape | None = None) -> Tensor:
+    """Mean next-step cross-entropy of a padded ``batch`` of windows, as one op.
 
-    The windows run through ``recurrent_states``.  Their states are
-    aggregated as ``recall @ H`` with a fixed (B, K, K) recall, or taken as
-    they are when ``recall`` is None, then scored by ``output_softmax`` with
-    the window's ``context`` row.  The loss is the mean cross-entropy against
-    ``targets`` (B, K) over the rows where ``mask`` (B, K) is true; each
-    window's valid steps are a prefix, so padding after them reaches no valid
-    row.  One tape node.
+    Step k of window b reads the rows ``tables[i][batch.steps[i][b, k]]``,
+    concatenated, through ``recurrent_states`` with ``cell``.  The states,
+    aggregated as ``batch.recall @ H`` when the batch has a recall, and the
+    window's row ``context[batch.context[b]]`` are scored by ``output_softmax``
+    with ``head``.  The loss is the mean cross-entropy against
+    ``batch.targets`` over the rows of ``batch.mask``, a prefix of each
+    window, so padding reaches no valid row.  One tape node.
 
-    The batch runs one ``window_runs`` run at a time, padded to its longest
-    window: its recurrence, head and, when a tape records, backpropagation
-    through time, whose gradients (at 1 / the batch's rows per row) are added
-    into one buffer per parameter in run order; the node's backward adds the
-    buffers, times the loss gradient, to the parameters' gradients.  One run
-    is the whole batch's arithmetic; more sum it in another order.  The head
-    scores a run in blocks of ``HEAD_CELLS // 2 // candidates`` rows, two at
-    a time on the calling and the helper thread once there are more
-    (``_in_pairs``), their parts added in block order, so results do not
-    depend on scheduling.  Memory, besides the batch's arrays and the
-    buffers: ``HEAD_CELLS`` cells and one run's padded steps x (D + features).
-    Overflow only shows as a non-finite loss or gradient, which raises
-    NumericsError, so numpy's warnings about it are silenced.
+    Each ``window_runs`` run, taken as ``batch.take(run)``, runs its
+    recurrence, head and, when a tape records, backpropagation through time
+    at once, adding its gradients (at 1 / the batch's rows per row) into one
+    buffer per parameter in run order; the node's backward adds the buffers,
+    times the loss gradient, to the parameters' gradients.  One run is the
+    whole batch's arithmetic; more sum it in another order.  The head scores
+    a run in blocks of ``HEAD_CELLS // 2 // candidates`` rows, two at a time
+    on the calling and the helper thread once there are more (``_in_pairs``),
+    their parts added in block order, so results do not depend on scheduling.
+    Memory, besides the batch and the buffers: ``HEAD_CELLS`` cells and one
+    run's padded steps x (D + features).  Overflow shows only as a non-finite
+    loss or gradient, which raises NumericsError, so numpy's warnings about
+    it are silenced.
     """
-    mask = np.asarray(mask, dtype=bool)
-    targets = np.asarray(targets, dtype=np.intp)
-    table, ids = context
-    _check_ids(table, ids)
-    params = list({id(t): t for t in [t for t, _ in inputs] + [table, *cell, *head]}.values())
+    _check_ids(context, batch.context)
+    params = list({id(t): t for t in [*tables, context, *cell, *head]}.values())
     record = tape is not None and any(t.requires_grad for t in params)
     grads = {id(t): np.zeros(t.shape) for t in params} if record else None
-    lengths = mask.sum(axis=1)
+    lengths = batch.mask.sum(axis=1)
     n_rows = int(lengths.sum())
     total = 0.0
     for run in window_runs(lengths, head[0].shape[1]):
-        k = int(lengths[run].max())
-        total += _run_windows([(t, i[run, :k]) for t, i in inputs], cell, (table, ids[run]),
-                              head, targets[run, :k], mask[run, :k],
-                              None if recall is None else recall[run, :k, :k],
-                              grads, 1.0 / n_rows)
+        total += _run_windows(batch.take(run), tables, context, cell, head, grads, 1.0 / n_rows)
     loss_value = total / n_rows
     if not math.isfinite(loss_value):
         raise NumericsError("non-finite value in recurrent_window_loss")
@@ -467,29 +488,29 @@ def recurrent_window_loss(inputs: Sequence[tuple[Tensor, np.ndarray]],
     return out
 
 
-def _run_windows(inputs, cell, context, head, targets, mask, recall, grads, weight) -> float:
+def _run_windows(batch: WindowBatch, tables, context, cell, head, grads, weight) -> float:
     """One run of ``recurrent_window_loss``: its rows' summed cross-entropy;
     their gradients, at ``weight`` per row, are added into ``grads`` (buffers
     by parameter id), if given.  Nothing it allocates outlives the call."""
     w_hidden, w_input, b_hidden = cell
     w_out, b_out = head
-    y = targets[mask]
+    mask = batch.mask
+    y = batch.targets[mask]
     if y.size and (y.min() < 0 or y.max() >= w_out.shape[1]):
         raise ValueError(f"target index out of range for {w_out.shape[1]} classes")
-    x, states = recurrent_states(inputs, cell)
-    agg = (states if recall is None else recall @ states)[mask]
-    table, ids = context
-    owners = np.repeat(ids, mask.sum(axis=1))    # each row's context id
+    x, states = recurrent_states(list(zip(tables, batch.steps)), cell)
+    agg = (states if batch.recall is None else batch.recall @ states)[mask]
+    owners = np.repeat(batch.context, mask.sum(axis=1))    # each row's context id
     nll = np.empty(y.size)
     d_full = cells = None
     if grads is not None:
         # The features' gradient at each (window, step), zero at padded steps.
-        d_full = np.zeros(mask.shape + (agg.shape[1] + table.shape[1],))
+        d_full = np.zeros(mask.shape + (agg.shape[1] + context.shape[1],))
         cells = np.flatnonzero(mask)
         d_w_out, d_b_out = grads[id(w_out)].T, grads[id(b_out)].reshape(-1)
     step = max(1, HEAD_CELLS // 2 // w_out.shape[1])
     blocks = [slice(lo, min(lo + step, y.size)) for lo in range(0, y.size, step)]
-    score = functools.partial(_score_head_block, agg=agg, context=(table, owners), head=head,
+    score = functools.partial(_score_head_block, agg=agg, context=(context, owners), head=head,
                               y=y, nll=nll, d_full=d_full, cells=cells, weight=weight)
     for part in _in_pairs(score, blocks, step * w_out.shape[1]):
         if grads is not None:
@@ -498,10 +519,10 @@ def _run_windows(inputs, cell, context, head, targets, mask, recall, grads, weig
     if grads is None:
         return nll.sum()
     dim = states.shape[2]
-    _scatter_rows(grads[id(table)], ids, d_full[:, :, dim:].sum(axis=1))
+    _scatter_rows(grads[id(context)], batch.context, d_full[:, :, dim:].sum(axis=1))
     d_states = d_full[:, :, :dim]
-    if recall is not None:
-        d_states = recall.transpose(0, 2, 1) @ d_states
+    if batch.recall is not None:
+        d_states = batch.recall.transpose(0, 2, 1) @ d_states
     # Backpropagation through time; padded steps receive exact zeros.
     d_pre = np.empty_like(states)
     carry = np.zeros_like(states[:, 0])
@@ -516,7 +537,7 @@ def _run_windows(inputs, cell, context, head, targets, mask, recall, grads, weig
     grads[id(b_hidden)] += _unbroadcast(flat, b_hidden.shape)
     d_x = d_pre[mask] @ w_input.values.T
     offset = 0
-    for table, ids in inputs:
+    for table, ids in zip(tables, batch.steps):
         width = table.shape[1]
         _scatter_rows(grads[id(table)], ids[mask], d_x[:, offset:offset + width])
         offset += width

@@ -130,6 +130,9 @@ def load_run_config(file_path=None, overrides: dict | None = None, base=None,
             raise ConfigError(f"{key} must be at least {least}, got {value}")
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise ConfigError(f"lr must be finite and positive, got {cfg.lr}")
+    for key in ("alpha", "beta"):    # decay rates: a negative one grows without bound
+        if not (math.isfinite(getattr(cfg, key)) and getattr(cfg, key) >= 0):
+            raise ConfigError(f"{key} must be finite and non-negative, got {getattr(cfg, key)}")
     if not cfg.top_ks or min(cfg.top_ks) < 1:
         raise ConfigError(f"top_ks must be one or more values of at least 1, got {cfg.top_ks}")
     check_settings(cfg.split_ratio, cfg.window, cfg.slots)

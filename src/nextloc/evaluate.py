@@ -141,27 +141,29 @@ def _blocks(n: int):
     return (np.arange(s, min(s + RANK_BLOCK, n)) for s in range(0, n, RANK_BLOCK))
 
 
-def acc_at_k(ranked_lists, truths, k: int) -> float:
+def _list_ranks(ranked_lists, truths) -> np.ndarray:
+    """Each truth's 1-based position in its ranked list, inf where it is missing."""
     if len(ranked_lists) != len(truths):
         raise ValueError("ranked_lists and truths differ in length")
-    if not truths:
+    if len(truths) == 0:
         raise ValueError("empty test set")
-    hits = sum(1 for ranking, t in zip(ranked_lists, truths) if t in list(ranking[:k]))
-    return hits / len(truths)
+    ranks = np.full(len(truths), np.inf)
+    for i, (ranking, t) in enumerate(zip(ranked_lists, truths)):
+        positions = np.flatnonzero(np.asarray(ranking) == t)
+        if positions.size:
+            ranks[i] = positions[0] + 1
+    return ranks
+
+
+def acc_at_k(ranked_lists, truths, k: int) -> float:
+    return _metrics_from_ranks(_list_ranks(ranked_lists, truths), (k,))["acc"][int(k)]
 
 
 def mrr(ranked_lists, truths) -> float:
-    if len(ranked_lists) != len(truths):
-        raise ValueError("ranked_lists and truths differ in length")
-    if not truths:
-        raise ValueError("empty test set")
-    total = 0.0
-    for ranking, t in zip(ranked_lists, truths):
-        positions = np.flatnonzero(np.asarray(ranking) == t)
-        if positions.size == 0:
-            raise ValueError(f"truth {t} missing from its ranking")
-        total += 1.0 / (positions[0] + 1)
-    return total / len(truths)
+    ranks = _list_ranks(ranked_lists, truths)
+    if np.isinf(ranks).any():
+        raise ValueError(f"truth {truths[int(np.isinf(ranks).argmax())]} missing from its ranking")
+    return _metrics_from_ranks(ranks, ())["mrr"]
 
 
 def _metrics_from_ranks(ranks: np.ndarray, ks) -> dict:
@@ -395,9 +397,11 @@ def check_request(n_users: int, n_pois: int, variants, ks, s_u_mode: str,
                   has_user_net: bool = True, has_poi_net: bool = True) -> None:
     """Refuse, with ValueError, an evaluation request that no dataset of
     ``n_users`` users and ``n_pois`` places can serve: an unknown variant or
-    user-side mode, a top-k beyond a variant's candidates, or a variant whose
-    wiring needs a network that is not given.  It reads only sizes, so
-    callers check before any training."""
+    user-side mode, no top-k, a top-k below 1 or beyond a variant's
+    candidates, or a variant whose wiring needs a network that is not given.
+    It reads only sizes, so callers check before any training."""
+    if len(ks) == 0 or min(ks) < 1:
+        raise ValueError(f"top-k needs one or more values of at least 1, got {tuple(ks)}")
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -722,7 +726,8 @@ def case_report(dataset: Dataset, user_net: UserNet, poi_net: PoiNet,
                 user: int, poi: int, k: int = 5,
                 corr_u: np.ndarray | None = None, corr_l: np.ndarray | None = None) -> dict:
     """Inspectable snapshot for one user and one place: top candidates from
-    each network and their most similar neighbors, with raw ids."""
+    each network and their most similar neighbors (None where the dataset has
+    no other user or place), with raw ids."""
     if corr_u is None:
         corr_u = association.user_similarity(dataset)
     if corr_l is None:
@@ -735,8 +740,14 @@ def case_report(dataset: Dataset, user_net: UserNet, poi_net: PoiNet,
                                          [history.size])[0]
     top_pois = rank_top_k(s_u_row, k)
     top_users = rank_top_k(s_l_row, k)
-    neighbor_u = rank_top_k(np.where(np.arange(dataset.n_users) == user, -np.inf, corr_u[user]), 1)[0]
-    neighbor_p = rank_top_k(np.where(np.arange(dataset.n_pois) == poi, -np.inf, corr_l[poi]), 1)[0]
+
+    def most_similar(corr, own, raw, field):
+        if corr.shape[0] < 2:
+            return None
+        others = np.where(np.arange(corr.shape[0]) == own, -np.inf, corr[own])
+        other = int(rank_top_k(others, 1)[0])
+        return {field: raw[other], "similarity": float(corr[own, other])}
+
     return {
         "user": dataset.user_raw[user],
         "poi": dataset.poi_raw[poi],
@@ -744,8 +755,6 @@ def case_report(dataset: Dataset, user_net: UserNet, poi_net: PoiNet,
             {"poi": dataset.poi_raw[p], "score": float(s_u_row[p])} for p in top_pois],
         "top_users_for_poi": [
             {"user": dataset.user_raw[u], "score": float(s_l_row[u])} for u in top_users],
-        "most_similar_user": {"user": dataset.user_raw[int(neighbor_u)],
-                              "similarity": float(corr_u[user, int(neighbor_u)])},
-        "most_similar_poi": {"poi": dataset.poi_raw[int(neighbor_p)],
-                             "similarity": float(corr_l[poi, int(neighbor_p)])},
+        "most_similar_user": most_similar(corr_u, user, dataset.user_raw, "user"),
+        "most_similar_poi": most_similar(corr_l, poi, dataset.poi_raw, "poi"),
     }

@@ -43,34 +43,6 @@ def _padded(events: Events, rows: np.ndarray, lengths: np.ndarray):
 
 
 @dataclasses.dataclass(frozen=True)
-class WindowBatch:
-    """Windows of mixed lengths padded to K steps (the longest window's).
-
-    Step k of window b reads its inputs at ``steps[i][b, k]`` and predicts
-    ``targets[b, k]``; ``mask[b, k]`` marks the real steps, a prefix of each row.
-    """
-    steps: tuple[np.ndarray, ...]    # (B, K) ids, one array per step table
-    context: np.ndarray              # (B,) id of each window's context row
-    targets: np.ndarray              # (B, K)
-    mask: np.ndarray                 # (B, K) bool
-    recall: np.ndarray | None        # (B, K, K) fixed recall weights, or None
-
-    @property
-    def rows(self) -> int:
-        return int(self.mask.sum())
-
-    def take(self, index) -> "WindowBatch":
-        """The windows at ``index``, padded only to the longest of them;
-        views of this batch's arrays when ``index`` is a slice."""
-        mask = self.mask[index]
-        k = int(mask.sum(axis=1).max())
-        return WindowBatch(
-            steps=tuple(s[index, :k] for s in self.steps), context=self.context[index],
-            targets=self.targets[index, :k], mask=mask[:, :k],
-            recall=None if self.recall is None else self.recall[index, :k, :k])
-
-
-@dataclasses.dataclass(frozen=True)
 class HistoryStates:
     """Histories run through the cell once (``WindowNet.run_histories``),
     ready to be scored at any cut up to ``widths[h]`` (``score_states``).
@@ -152,8 +124,8 @@ class WindowNet:
 
     # -- forward -------------------------------------------------------------
 
-    def pack(self, windows) -> WindowBatch:
-        """Pad windows of any lengths into one batch of index arrays.
+    def pack(self, windows) -> ad.WindowBatch:
+        """Pad windows of any lengths into one ``autodiff.WindowBatch``.
 
         ``windows`` is a list of event lists, or ``(events, rows, lengths)``
         as ``Dataset.windows`` gives them: Events columns, the rows of every
@@ -179,7 +151,7 @@ class WindowNet:
             steps = np.arange(filled.shape[1] - 1)[None]
             recall = np.concatenate([self._recall(steps, *(c[s:s + CUT_BLOCK] for c in columns))
                                      for s in range(0, lengths.size, CUT_BLOCK)])
-        return WindowBatch(
+        return ad.WindowBatch(
             steps=tuple(column(field)[:, :-1] for field, _ in self.step_inputs),
             context=column(self.context_input[0])[:, 0],
             targets=column(self.target_field)[:, 1:],
@@ -189,25 +161,15 @@ class WindowNet:
     def _cell(self) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
         return self.w_hidden, self.w_input, self.b_hidden
 
-    def _op_inputs(self, batch: WindowBatch) -> dict:
-        params = self.named_parameters()
-        return {
-            "inputs": [(params[name], ids)
-                       for (_, name), ids in zip(self.step_inputs, batch.steps)],
-            "cell": self._cell(),
-            "context": (params[self.context_input[1]], batch.context),
-            "head": (self.w_out, self.b_out),
-            "mask": batch.mask,
-            "recall": batch.recall,
-        }
-
-    def window_loss(self, windows: list[list] | tuple | WindowBatch,
+    def window_loss(self, windows: list[list] | tuple | ad.WindowBatch,
                     tape: ad.Tape | None = None) -> ad.Tensor:
         """Mean cross-entropy of each step's next target over windows of any
         lengths (as ``pack`` takes them, or a batch from it): one tape node."""
-        batch = windows if isinstance(windows, WindowBatch) else self.pack(windows)
-        return ad.recurrent_window_loss(targets=batch.targets, tape=tape,
-                                        **self._op_inputs(batch))
+        batch = windows if isinstance(windows, ad.WindowBatch) else self.pack(windows)
+        params = self.named_parameters()
+        return ad.recurrent_window_loss(batch, [params[name] for _, name in self.step_inputs],
+                                        params[self.context_input[1]], self._cell(),
+                                        (self.w_out, self.b_out), tape)
 
     # -- prediction ----------------------------------------------------------
 

@@ -38,10 +38,12 @@ def decay_weight(delta_t_days, delta_d_km, alpha: float = 0.1, beta: float = 100
     0.5*(1+cos(2*pi*dt)) puts full weight on whole-day offsets and none on
     half-day antiphase; the two exponentials fade weight at alpha per day and
     beta per km.  Returns values in [0, 1], broadcasting over array inputs.
+    A rate whose exponent overflows gives the limit, weight 0, silently.
     """
     dt = np.asarray(delta_t_days, dtype=np.float64)
     dd = np.asarray(delta_d_km, dtype=np.float64)
-    w = 0.5 * (1.0 + np.cos(2.0 * np.pi * dt)) * np.exp(-alpha * dt) * np.exp(-beta * dd)
+    with np.errstate(over="ignore"):
+        w = 0.5 * (1.0 + np.cos(2.0 * np.pi * dt)) * np.exp(-alpha * dt) * np.exp(-beta * dd)
     if w.ndim == 0:
         return float(w)
     return w

@@ -182,12 +182,12 @@ def traced_peak_of_window_loss(monkeypatch, budget):
     mask = np.arange(n_steps) < rng.integers(1, n_steps + 1, n_windows)[:, None]
     ids = rng.integers(0, 50, (n_windows, n_steps))
     targets = rng.integers(0, n_candidates, (n_windows, n_steps))
+    batch = ad.WindowBatch((ids,), ids[:, 0], targets, mask, None)
     monkeypatch.setattr(ad, "HEAD_CELLS", budget)
     tracemalloc.start()
     try:
         tape = ad.Tape()
-        loss = ad.recurrent_window_loss([(table, ids)], cell, (context, ids[:, 0]), head,
-                                        targets, mask, tape=tape)
+        loss = ad.recurrent_window_loss(batch, [table], context, cell, head, tape)
         tape.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -220,9 +220,10 @@ def test_forked_child_scores_head_blocks(monkeypatch):
     targets = rng.integers(0, n_candidates, (16, 5))
     monkeypatch.setattr(ad, "HEAD_CELLS", 2 * n_candidates)     # blocks of one row
 
+    batch = ad.WindowBatch((ids,), ids[:, 0], targets, np.ones((16, 5), dtype=bool), None)
+
     def loss():
-        return float(ad.recurrent_window_loss([(table, ids)], cell, (context, ids[:, 0]), head,
-                                              targets, np.ones((16, 5), dtype=bool)).values)
+        return float(ad.recurrent_window_loss(batch, [table], context, cell, head).values)
 
     want = loss()
     pid = os.fork()

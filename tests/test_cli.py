@@ -1,10 +1,14 @@
 """End-to-end driver tests: every subcommand through cli.main."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,6 +809,10 @@ BAD_SETTINGS = [
     (["evaluate", "--data", "{absent}"], "variant", "oracle", "unknown variant 'oracle'"),
     (["evaluate", "--data", "{absent}"], "top_ks", "0", "top_ks must be"),
     (["ablate", "--showcase"], "lr", "0", "lr must be finite and positive"),
+    (["train", "--data", "{absent}", "--net", "user"], "alpha", "-5",
+     "alpha must be finite and non-negative, got -5.0"),
+    (["train", "--data", "{absent}", "--net", "user"], "beta", "nan",
+     "beta must be finite and non-negative, got nan"),
 ]
 
 
@@ -959,3 +967,71 @@ def test_flat_file_fuzz_parses_or_raises_config_error(flat_path, data):
     except ConfigError:
         return
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in parsed.items())
+
+
+#: The CLI property test's commands: flags of a run that succeeds, and the
+#: values each flag may be given instead: good ones, edge values and text
+#: that is no value at all.  ``--epochs`` stays at most 2.
+DRAWN_COMMANDS = {
+    "train": ({"--net": "user", "--epochs": "2", "--dim": "3", "--slot-dim": "2",
+               "--lr": "0.01"}, {
+        "--net": [None, "poi", "both"],
+        "--epochs": ["0", "1", "-1", "1.5", ""],
+        "--lr": [None, "1e-300", "1e300", "0", "-0.1", "nan", "inf", "x"],
+        "--dim": [None, "1", "0", "-2"],
+        "--slot-dim": [None, "1", "0"],
+        "--alpha": ["0", "-5", "1e308", "nan", "inf"],
+        "--beta": ["0", "-1e3", "1e308", "nan"],
+        "--optimizer": ["sgd", "Adam", ""],
+        "--batch-size": ["1", "7", "1000", "none", "0", "-3"],
+        "--seed": ["7", "-1", "x", "4294967296"],
+    }),
+    "evaluate": ({"--user-ckpt": "user", "--poi-ckpt": "poi"}, {
+        "--variant": [*cli.VARIANTS, "all", "oracle", ""],
+        "--fusion": ["sum", "weighted_add:0.7,0.3", "weighted_add:1,1",
+                     "weighted_add:nan,1", "minpool:1,0", "bad"],
+        "--ks": ["1", "10", "20", "21", "0", "", "-1", "1,,2", "a"],
+        "--s-u-mode": ["static", "offline"],
+        "--user-ckpt": [None, "poi", "manifest", "missing"],
+        "--poi-ckpt": [None, "user", "manifest", "missing"],
+    }),
+}
+
+
+def drawn_argv(command):
+    """``command``'s base flags with up to three of them changed or left out (None)."""
+    base, values = DRAWN_COMMANDS[command]
+    change = st.sampled_from(sorted(values)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(values[flag])))
+    return st.lists(change, max_size=3).map(lambda changes: (command, {**base, **dict(changes)}))
+
+
+@pytest.fixture(scope="module")
+def drawn_runs(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(drawn_argv("train"), drawn_argv("evaluate")))
+def test_drawn_flags_exit_with_a_known_code(data_dir, model_dir, drawn_runs, command):
+    """``train`` and ``evaluate`` on the tiny dataset, with drawn flags,
+    exit 0, 2, 3 or 4; every other exit prints an ``error:`` line and
+    leaves nothing under ``--out``."""
+    name, flags = command
+    paths = {"user": model_dir / "user_net.ckpt", "poi": model_dir / "poi_net.ckpt",
+             "manifest": data_dir / "manifest.json", "missing": data_dir / "absent.ckpt"}
+    out = Path(tempfile.mkdtemp(dir=drawn_runs)) / "out"
+    argv = [name, "--data", str(data_dir), "--out", str(out)]
+    for flag, text in flags.items():
+        if text is not None:
+            argv += [flag, str(paths[text]) if flag.endswith("-ckpt") else text]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:    # argparse refuses an argument
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        assert "error:" in err.getvalue(), argv
+        assert not out.exists(), argv

@@ -405,17 +405,19 @@ class TestOnePass:
         assert counts == {"user_rows": sum(len(evs) for evs in small_dataset.test),
                           "poi_rows": 0, "adjust_user_scores": 0, "adjust_poi_scores": 0}
 
-    @pytest.mark.parametrize("variants, nets_given, max_k, match", [
-        (("full", "oracle"), (True, True), 5, "unknown variant"),
-        (("poi_net_only", "full"), (False, True), 5, "user-side"),
-        (("user_net_only", "no_cross_user"), (True, False), 5, "place-side"),
-        (("full", "poi_net_only"), (True, True), 11, "top-k"),   # 10 users, 20 places
+    @pytest.mark.parametrize("variants, nets_given, ks, match", [
+        (("full", "oracle"), (True, True), (1, 5), "unknown variant"),
+        (("poi_net_only", "full"), (False, True), (1, 5), "user-side"),
+        (("user_net_only", "no_cross_user"), (True, False), (1, 5), "place-side"),
+        (("full", "poi_net_only"), (True, True), (1, 11), "top-k"),   # 10 users, 20 places
+        (("full",), (True, True), (), "top-k"),
+        (("full",), (True, True), (0,), "top-k"),
     ])
     def test_every_wiring_is_checked_before_scoring(self, small_dataset, nets, counts,
-                                                     variants, nets_given, max_k, match):
+                                                     variants, nets_given, ks, match):
         given = [net if ok else None for net, ok in zip(nets, nets_given)]
         with pytest.raises(ValueError, match=match):
-            evaluate_variants(small_dataset, *given, variants, ks=(1, max_k))
+            evaluate_variants(small_dataset, *given, variants, ks=ks)
         assert not any(counts.values())
 
 
@@ -583,3 +585,16 @@ def test_case_report_structure(small_dataset, nets):
     scores = [e["score"] for e in report["top_pois_for_user"]]
     assert scores == sorted(scores, reverse=True)
     assert report["most_similar_user"]["user"] != small_dataset.user_raw[0]
+
+
+@pytest.mark.parametrize("n_users, n_pois", [(1, 3), (3, 1)], ids=["one_user", "one_place"])
+def test_case_report_names_no_entity_its_own_neighbour(n_users, n_pois):
+    """Without another user (or place), the most similar one is None, not
+    the entity itself at similarity 1."""
+    ds = build_dataset([CheckIn(k % n_users, 1_000_000 + k * 3600, 0.0, 0.0, k % n_pois)
+                        for k in range(20)])
+    user_net = UserNet(ds.n_users, ds.n_pois, dim=4, beta=1.0, seed=0)
+    poi_net = PoiNet(ds.n_users, ds.n_pois, n_slots=ds.slots, dim=4, slot_dim=2, seed=0)
+    report = case_report(ds, user_net, poi_net, user=0, poi=0, k=1)
+    assert (report["most_similar_user"] is None) == (n_users == 1)
+    assert (report["most_similar_poi"] is None) == (n_pois == 1)
