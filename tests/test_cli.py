@@ -1015,7 +1015,7 @@ def drawn_runs(tmp_path_factory):
 @given(st.one_of(drawn_argv("train"), drawn_argv("evaluate")))
 def test_drawn_flags_exit_with_a_known_code(data_dir, model_dir, drawn_runs, command):
     """``train`` and ``evaluate`` on the tiny dataset, with drawn flags,
-    exit 0, 2, 3 or 4; every other exit prints an ``error:`` line and
+    exit 0, 2, 3 or 4; a non-zero exit prints an ``error:`` line and
     leaves nothing under ``--out``."""
     name, flags = command
     paths = {"user": model_dir / "user_net.ckpt", "poi": model_dir / "poi_net.ckpt",
