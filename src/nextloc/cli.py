@@ -88,10 +88,9 @@ def _seeds(text: str, flag: str, many: bool = True) -> list[int]:
     return seeds
 
 
-def _setting_flags(parser, keys) -> None:
-    """A text flag per key for ``_config``: the key with dashes, ``--ks`` for top_ks."""
-    for key in keys:
-        parser.add_argument("--ks" if key == "top_ks" else "--" + key.replace("_", "-"), dest=key)
+def _flag(key: str) -> str:
+    """A setting's text flag for ``_config``: the key with dashes, ``--ks`` for top_ks."""
+    return "--ks" if key == "top_ks" else "--" + key.replace("_", "-")
 
 
 def _kept_names(names: list, id_map: dict[int, int]) -> list:
@@ -296,99 +295,87 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bidirectional next-location prediction over check-in trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a raw check-in file into a dataset directory")
-    p.add_argument("--input", required=True)
-    _setting_flags(p, DATA_KEYS)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ingest)
+    def command(func, help, data=False, keys=()):
+        """The subcommand ``func`` runs, with --out, a required --data if
+        ``data``, and the setting flags of ``keys`` with --config."""
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        p.set_defaults(func=func)
+        if data:
+            p.add_argument("--data", required=True)
+        for key in keys:
+            p.add_argument(_flag(key), dest=key)
+        if keys:
+            p.add_argument("--config")
+        p.add_argument("--out")
+        return p
 
-    p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
+    p = command(cmd_ingest, "parse a raw check-in file into a dataset directory", keys=DATA_KEYS)
+    p.add_argument("--input", required=True)
+
+    p = command(cmd_synth, "generate a planted-structure synthetic dataset")
     p.add_argument("--spec", help="flat key=value file of generator settings")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--seed", default="0")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one network on a dataset directory")
-    p.add_argument("--data", required=True)
+    p = command(cmd_train, "train one network on a dataset directory", True, TRAIN_KEYS)
     p.add_argument("--net", choices=("user", "poi"), required=True)
-    _setting_flags(p, TRAIN_KEYS)
     p.add_argument("--seed", default="0")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("associate", help="build and export both similarity matrices")
-    p.add_argument("--data", required=True)
+    p = command(cmd_associate, "build and export both similarity matrices", True)
     p.add_argument("--user-same-day", action="store_true",
                    help="restrict user overlap to same-day co-visits (variant)")
     p.add_argument("--poi-normalize", choices=("global", "row"), default="global")
     p.add_argument("--top-k", type=int, default=None,
                    help="keep only each row's k largest off-diagonal entries")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_associate)
 
-    p = sub.add_parser("evaluate", help="score a variant from trained checkpoints")
-    p.add_argument("--data", required=True)
+    p = command(cmd_evaluate, "score a variant from trained checkpoints", True, EVAL_KEYS)
     p.add_argument("--user-ckpt")
     p.add_argument("--poi-ckpt")
-    _setting_flags(p, EVAL_KEYS)
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="run the full variant battery over seeds")
+    p = command(cmd_ablate, "run the full variant battery over seeds",
+                keys=("fusion", "epochs", "lr"))
     p.add_argument("--data")
     p.add_argument("--spec", help="synthetic spec: fresh dataset per seed")
     p.add_argument("--showcase", action="store_true",
                    help="planted-structure battery protocol: offline rows, "
                         "same-day top-3 user links, battery training settings")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    _setting_flags(p, ("fusion", "epochs", "lr"))
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("stats", help="export motivation statistics as CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--which", default="all",
-                   choices=evaluate.STAT_KINDS + ("all",))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
+    p = command(cmd_stats, "export motivation statistics as CSV", True)
+    p.add_argument("--which", default="all", choices=evaluate.STAT_KINDS + ("all",))
 
-    p = sub.add_parser("case", help="candidate lists and nearest neighbors for one case")
-    p.add_argument("--data", required=True)
+    p = command(cmd_case, "candidate lists and nearest neighbors for one case", True)
     p.add_argument("--user-ckpt", required=True)
     p.add_argument("--poi-ckpt", required=True)
     p.add_argument("--user", required=True, help="raw user id")
     p.add_argument("--poi", required=True, help="raw poi id")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_case)
     return parser
 
 
+#: The exit code of each refusal, the first that matches: a DataError is a ValueError.
+EXIT_CODES = ((ConfigError, EXIT_USAGE), (DataError, EXIT_DATA), (NumericsError, EXIT_NUMERIC),
+              (ValueError, EXIT_USAGE), (OSError, EXIT_DATA))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as "-1e3" as an option, so a setting flag
+    # and a following number become one "--beta=-1e3".
+    flags = {_flag(key) for key in DATA_KEYS + TRAIN_KEYS + EVAL_KEYS}
+    for i in range(len(argv) - 1, 0, -1):
+        try:
+            float(argv[i])
+        except (TypeError, ValueError):
+            continue
+        if argv[i - 1] in flags:
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

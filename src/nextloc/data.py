@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import tokenize
 from datetime import datetime, timezone
 
 import numpy as np
@@ -129,22 +130,18 @@ class ParseResult:
     total_lines: int
 
 
-def parse_checkin_file(path, fmt: str = "gowalla",
-                       user_ids: dict[str, int] | None = None,
-                       poi_ids: dict[str, int] | None = None) -> ParseResult:
+def parse_checkin_file(path, fmt: str = "gowalla") -> ParseResult:
     """Parse a tab-separated check-in file into dense-indexed columns.
 
-    Dense ids are assigned in first-seen order, or taken from the optional
-    preassigned dictionaries (which lets an exported dataset re-parse to the
-    exact same indices).  A line is malformed unless it has five fields, an
-    ISO-8601 time after the epoch, a latitude in [-90, 90] and a longitude in
-    (-180, 180].  Malformed lines are counted, not fatal, unless they exceed
-    1% of the file's non-empty lines — that usually means the wrong format
-    was chosen.
+    Dense ids are assigned in first-seen order.  A line is malformed unless
+    it has five fields, an ISO-8601 time after the epoch, a latitude in
+    [-90, 90] and a longitude in (-180, 180].  Malformed lines are counted,
+    not fatal, unless they exceed 1% of the file's non-empty lines — that
+    usually means the wrong format was chosen.
     """
     if fmt not in FORMATS:
         raise DataError(f"unknown format {fmt!r}; expected one of {sorted(FORMATS)}")
-    ids = {"user": dict(user_ids) if user_ids else {}, "poi": dict(poi_ids) if poi_ids else {}}
+    ids = {"user": {}, "poi": {}}
     blocks, total = [], 0
     for lines in _text_blocks(path):
         total += len(lines) - lines.count("")
@@ -608,6 +605,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
+EVENTS_NAME = "events.npy"
+#: The directory layout ``save_dataset`` writes; version 1 held the events as text.
+DATASET_VERSION = 2
+#: A row of the events table: ``Dataset.events``' columns, little-endian.
+EVENTS_DTYPE = np.dtype([(f, "<f8" if f in ("lat", "lon") else "<i8") for f in CheckIn._fields])
 
 
 def write_checkin_file(path, records, user_raw: list[str],
@@ -629,11 +631,10 @@ def write_checkin_file(path, records, user_raw: list[str],
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write a self-describing dataset directory (manifest, events, id maps)."""
+    """Write a self-describing dataset directory (manifest, events table, id maps)."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
-        "version": 1,
-        "format": "gowalla",
+        "version": DATASET_VERSION,
         "n_users": dataset.n_users,
         "n_pois": dataset.n_pois,
         "n_events": len(dataset.events),
@@ -644,8 +645,9 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    write_checkin_file(os.path.join(out_dir, "events.tsv"), dataset.events,
-                       dataset.user_raw, dataset.poi_raw, "gowalla")
+    table = np.rec.fromarrays([getattr(dataset.events, f) for f in CheckIn._fields],
+                              dtype=EVENTS_DTYPE)
+    np.save(os.path.join(out_dir, EVENTS_NAME), table, allow_pickle=False)
     for name, raw in (("users.tsv", dataset.user_raw), ("pois.tsv", dataset.poi_raw)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
             f.writelines(f"{dense}\t{raw_id}\n" for dense, raw_id in enumerate(raw))
@@ -671,22 +673,27 @@ def _read_id_map(path) -> list[str]:
     return out
 
 
-def _manifest_settings(manifest, path) -> tuple[str, float, int, int]:
-    """Format, split ratio, window and slot count of a dataset manifest."""
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    missing = sorted({"split_ratio", "window", "slots"} - set(manifest))
-    if missing:
-        raise DataError(f"{path}: missing {', '.join(missing)}")
-    fmt, ratio = manifest.get("format", "gowalla"), manifest["split_ratio"]
-    window, slots = manifest["window"], manifest["slots"]
-    if not (isinstance(fmt, str) and fmt in FORMATS):
-        raise DataError(f"{path}: format must be one of {sorted(FORMATS)}")
+def _read_events(path, n_users: int, n_pois: int) -> Events:
+    """The columns of an events table, each row checked as
+    ``parse_checkin_file`` checks a line, and its ids against the id maps.
+    The file is mapped, so a header claiming more rows than it holds is
+    refused before anything is allocated."""
     try:
-        check_settings(ratio, window, slots)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return fmt, ratio, window, slots
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, EOFError, ValueError, TypeError, OverflowError, SyntaxError,
+            tokenize.TokenError) as exc:   # what numpy raises on a broken header
+        raise DataError(f"{path}: not a readable .npy table: {exc}") from exc
+    if not (isinstance(table, np.ndarray) and table.dtype == EVENTS_DTYPE and table.ndim == 1
+            and table.offset + table.nbytes == os.path.getsize(path)):
+        raise DataError(f"{path}: expected exactly a 1-D table of {EVENTS_DTYPE}")
+    e = Events(CheckIn, **{f: np.array(table[f]) for f in CheckIn._fields})
+    del table   # unmaps the file
+    ok = ((0 <= e.user) & (e.user < n_users) & (0 <= e.poi) & (e.poi < n_pois) & (e.t > 0)
+          & (-90.0 <= e.lat) & (e.lat <= 90.0) & (-180.0 < e.lon) & (e.lon <= 180.0))
+    if not ok.all():
+        raise DataError(f"{path}: row {ok.argmin()} {e[ok.argmin()]} has an id outside "
+                        "users.tsv/pois.tsv, a time t <= 0 or a coordinate out of range")
+    return e
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -705,23 +712,27 @@ def load_dataset(in_dir) -> Dataset:
         raise DataError(f"not a dataset directory (missing {MANIFEST_NAME}): {in_dir}") from exc
     except ValueError as exc:  # invalid JSON or undecodable bytes
         raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
-    fmt, split_ratio, window, slots = _manifest_settings(manifest, manifest_path)
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: expected a JSON object")
+    if manifest.get("version") != DATASET_VERSION:
+        raise DataError(f"{manifest_path}: dataset version {manifest.get('version')!r}, but only "
+                        f"version {DATASET_VERSION} ({EVENTS_NAME}) is read; re-run ingest or synth")
+    missing = sorted({"split_ratio", "window", "slots"} - set(manifest))
+    if missing:
+        raise DataError(f"{manifest_path}: missing {', '.join(missing)}")
+    split_ratio, window, slots = manifest["split_ratio"], manifest["window"], manifest["slots"]
+    try:
+        check_settings(split_ratio, window, slots)
+    except ValueError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
     user_raw = _read_id_map(os.path.join(in_dir, "users.tsv"))
     poi_raw = _read_id_map(os.path.join(in_dir, "pois.tsv"))
-    events_path = os.path.join(in_dir, "events.tsv")
-    parsed = parse_checkin_file(
-        events_path, fmt,
-        user_ids={raw: i for i, raw in enumerate(user_raw)},
-        poi_ids={raw: i for i, raw in enumerate(poi_raw)},
-    )
-    for name, ids, raw in (("users.tsv", parsed.user_ids, user_raw),
-                           ("pois.tsv", parsed.poi_ids, poi_raw)):
-        if len(ids) > len(raw):
-            raise DataError(f"{events_path}: id {list(ids)[len(raw)]!r} is not in {name}")
-    idle = np.flatnonzero(np.bincount(parsed.records.user, minlength=len(user_raw)) == 0)
+    events_path = os.path.join(in_dir, EVENTS_NAME)
+    events = _read_events(events_path, len(user_raw), len(poi_raw))
+    idle = np.flatnonzero(np.bincount(events.user, minlength=len(user_raw)) == 0)
     if idle.size:
         raise DataError(f"{events_path}: user {user_raw[idle[0]]!r} of users.tsv has no events")
-    held = {"n_users": len(user_raw), "n_pois": len(poi_raw), "n_events": len(parsed.records)}
+    held = {"n_users": len(user_raw), "n_pois": len(poi_raw), "n_events": len(events)}
     for key, count in held.items():
         if key in manifest and manifest[key] != count:
             raise DataError(f"{manifest_path}: {key} is {manifest[key]!r}, "
@@ -734,5 +745,5 @@ def load_dataset(in_dir) -> Dataset:
                 meta = json.load(f)
         except ValueError as exc:
             raise DataError(f"{meta_path}: not valid JSON: {exc}") from exc
-    return build_dataset(parsed.records, split_ratio, window, slots,
+    return build_dataset(events, split_ratio, window, slots,
                          user_raw=user_raw, poi_raw=poi_raw, meta=meta)

@@ -540,10 +540,9 @@ class EvalReport:
     per_user: dict
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["ks"] = list(self.ks)
-        payload["acc"] = {str(k): v for k, v in self.acc.items()}
-        payload["per_user"] = {str(u): v for u, v in self.per_user.items()}
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload.update(ks=list(self.ks), acc={str(k): v for k, v in self.acc.items()},
+                       per_user={str(u): v for u, v in self.per_user.items()})
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def text_table(self) -> str:

@@ -19,7 +19,7 @@ from nextloc import association, cli
 from nextloc import autodiff as ad
 from nextloc.config import (ConfigError, RunConfig, coerce_into, config_hash,
                             load_run_config, parse_flat_file)
-from nextloc.data import SyntheticSpec, format_timestamp, load_dataset
+from nextloc.data import SyntheticSpec, format_timestamp, load_dataset, write_checkin_file
 from nextloc.net import WindowNet
 from nextloc.poi_net import PoiNet
 from nextloc.user_net import UserNet
@@ -138,8 +138,8 @@ class TestSynth:
         assert cli.main(["synth", "--seed", "1", "--set", "n_users=160", "--set", "n_pois=120",
                          "--set", "n_zones=12", "--out", str(out)]) == 0
         files = fingerprint(out)
-        assert files["events.tsv"] == \
-            "ad9c44db2d964a74082abc96c7e2a4d24fb0438ae006ed1a54d4b71130f815c5"
+        assert files["events.npy"] == \
+            "0b98415478b65bd82dcea8d72b0c689e490a5c53a2df7720590a8f6593286dab"
         assert files["meta.json"] == \
             "f1fbf3f930f2a169e0b89bc36cdc287b14865bf8b8adacbae427c3f9e30aed1a"
 
@@ -257,21 +257,33 @@ def _rewrite_manifest(directory, **changes):
     path.write_text(json.dumps(manifest))
 
 
-def _add_events(directory, field, raw_id):
-    """Append copies of the first three events with one raw id replaced:
+def _edit_events(directory, edit):
+    """Replace the events table with ``edit(table)``."""
+    path = directory / "events.npy"
+    np.save(path, edit(np.load(path)))
+
+
+def _add_events(directory, field, dense_id):
+    """Append copies of the first three events with one id replaced:
     enough train events for a user of their own."""
-    path = directory / "events.tsv"
-    with open(path, "a", encoding="utf-8") as f:
-        for text in path.read_text().splitlines()[:3]:
-            fields = text.split("\t")
-            fields[{"user": 0, "poi": 4}[field]] = raw_id
-            f.write("\t".join(fields) + "\n")
+    def add(table):
+        extra = table[:3].copy()
+        extra[field] = dense_id
+        return np.concatenate([table, extra])
+    _edit_events(directory, add)
 
 
-def _drop_user_events(directory, raw_id):
-    path = directory / "events.tsv"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(line for line in lines if line.split("\t")[0] != raw_id))
+def _drop_user_events(directory, dense_id):
+    _edit_events(directory, lambda table: table[table["user"] != dense_id])
+
+
+def _as_version_1(directory):
+    """The directory as the text-events layout wrote it: events.tsv, format
+    key, version 1."""
+    ds = load_dataset(directory)
+    write_checkin_file(directory / "events.tsv", ds.events, ds.user_raw, ds.poi_raw)
+    (directory / "events.npy").unlink()
+    _rewrite_manifest(directory, version=1, format="gowalla")
 
 
 BROKEN_DATASETS = {
@@ -281,9 +293,10 @@ BROKEN_DATASETS = {
     "window_zero": lambda d: _rewrite_manifest(d, window=0),
     "id_map_line_without_tab": lambda d: (d / "users.tsv").write_text(
         (d / "users.tsv").read_text().replace("\t", " ", 1)),
-    "event_of_unknown_user": lambda d: _add_events(d, "user", "ghost"),
-    "event_at_unknown_place": lambda d: _add_events(d, "poi", "nowhere"),
-    "last_user_without_events": lambda d: _drop_user_events(d, "u009"),
+    "event_of_unknown_user": lambda d: _add_events(d, "user", 10),
+    "event_at_unknown_place": lambda d: _add_events(d, "poi", 20),
+    "last_user_without_events": lambda d: _drop_user_events(d, 9),
+    "version_1_directory": _as_version_1,
     "manifest_n_users_differs": lambda d: _rewrite_manifest(d, n_users=11),
     "manifest_n_pois_differs": lambda d: _rewrite_manifest(d, n_pois=19),
     "manifest_n_events_differs": lambda d: _rewrite_manifest(d, n_events=1),
@@ -305,6 +318,9 @@ class TestBrokenDatasetDirectory:
         ("manifest_n_users_differs", "n_users is 11, but the directory holds 10"),
         ("manifest_n_pois_differs", "n_pois is 19, but the directory holds 20"),
         ("manifest_n_events_differs", "n_events is 1, but the directory holds 800"),
+        ("event_of_unknown_user", "row 800 CheckIn(user=10,"),
+        ("version_1_directory", "dataset version 1, but only version 2 (events.npy) is read; "
+                                "re-run ingest or synth"),
     ])
     def test_parts_that_disagree_are_named(self, data_dir, tmp_path, capsys, case, message):
         broken = tmp_path / "data"
@@ -976,12 +992,13 @@ DRAWN_COMMANDS = {
     "train": ({"--net": "user", "--epochs": "2", "--dim": "3", "--slot-dim": "2",
                "--lr": "0.01"}, {
         "--net": [None, "poi", "both"],
-        "--epochs": ["0", "1", "-1", "1.5", ""],
-        "--lr": [None, "1e-300", "1e300", "0", "-0.1", "nan", "inf", "x"],
-        "--dim": [None, "1", "0", "-2"],
+        "--epochs": ["0", "1", "-1", "1.5", "", "2e0", "-1e3"],
+        "--lr": [None, "1e-300", "1e300", "0", "-0.1", "nan", "inf", "x", "-1e-3", "-inf",
+                 "1E-2"],
+        "--dim": [None, "1", "0", "-2", "-2e1"],
         "--slot-dim": [None, "1", "0"],
-        "--alpha": ["0", "-5", "1e308", "nan", "inf"],
-        "--beta": ["0", "-1e3", "1e308", "nan"],
+        "--alpha": ["0", "-5", "1e308", "nan", "inf", "-5e-1", "-1E+3"],
+        "--beta": ["0", "-1e3", "1e308", "nan", "-.5e2"],
         "--optimizer": ["sgd", "Adam", ""],
         "--batch-size": ["1", "7", "1000", "none", "0", "-3"],
         "--seed": ["7", "-1", "x", "4294967296"],
@@ -1009,6 +1026,21 @@ def drawn_argv(command):
 @pytest.fixture(scope="module")
 def drawn_runs(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn")
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--beta", "-1e3", "beta must be finite and non-negative"),
+    ("--alpha", "-2.5E-1", "alpha must be finite and non-negative"),
+    ("--lr", "-1e-3", "lr must be finite and positive"),
+])
+def test_negative_exponent_value_reaches_the_setting_check(data_dir, tmp_path, capsys, flag,
+                                                           value, rule):
+    """argparse alone reads "-1e3" as an option ("expected one argument")."""
+    out = tmp_path / "m"
+    assert cli.main(["train", "--data", str(data_dir), "--net", "user", "--epochs", "1",
+                     flag, value, "--out", str(out)]) == cli.EXIT_USAGE
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

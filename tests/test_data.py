@@ -1,7 +1,9 @@
 """Parsing, splitting, and the planted-structure generator."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc import association, data
+from nextloc import association, cli, data
 from nextloc.data import (CheckIn, DataError, SyntheticSpec, build_dataset,
                           day_index, discretize_time, filter_inactive_users,
                           filter_rare_pois, generate_synthetic, load_dataset,
@@ -543,33 +545,163 @@ def test_generator_builds_no_checkin(monkeypatch, small_spec):
 
 # -- persistence ---------------------------------------------------------------
 
+def _bits(column: np.ndarray) -> np.ndarray:
+    """A column with floats as their bit patterns, so -0.0 and NaN compare exactly."""
+    return column.view(np.int64) if column.dtype.kind == "f" else column
+
+
 def test_dataset_directory_round_trip(tmp_path, small_dataset):
     out = tmp_path / "ds"
     save_dataset(small_dataset, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.npy", "manifest.json", "meta.json", "pois.tsv", "users.tsv"]
     loaded = load_dataset(out)
-    assert loaded.records == small_dataset.records
+    assert set(loaded.events.columns) == set(small_dataset.events.columns)
+    for name, column in small_dataset.events.columns.items():
+        got = loaded.events.columns[name]
+        assert got.dtype == column.dtype and np.array_equal(_bits(got), _bits(column)), name
     assert loaded.n_users == small_dataset.n_users
     assert loaded.n_pois == small_dataset.n_pois
     assert loaded.user_raw == small_dataset.user_raw
+    assert loaded.poi_raw == small_dataset.poi_raw
     # meta passes through JSON, so compare against its JSON image
     assert loaded.meta == json.loads(json.dumps(small_dataset.meta))
 
 
+def test_load_dataset_parses_no_text(tmp_path, small_dataset, monkeypatch):
+    """The events table is read as columns: the check-in parser serves ingest only."""
+    save_dataset(small_dataset, tmp_path / "ds")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_dataset parsed text")
+    monkeypatch.setattr(data, "parse_checkin_file", refuse)
+    assert load_dataset(tmp_path / "ds").records == small_dataset.records
+
+
 def test_raw_file_round_trip(tmp_path, small_dataset):
-    """Write to the external format, parse back: identical dense records."""
+    """Write to the external format, parse back: the same check-ins under
+    the same raw ids."""
     path = tmp_path / "events.tsv"
     write_checkin_file(path, small_dataset.records, small_dataset.user_raw,
                        small_dataset.poi_raw)
-    reparsed = parse_checkin_file(
-        path,
-        user_ids={raw: i for i, raw in enumerate(small_dataset.user_raw)},
-        poi_ids={raw: i for i, raw in enumerate(small_dataset.poi_raw)})
-    assert reparsed.records == small_dataset.records
+    reparsed = parse_checkin_file(path)
+    # The parser numbers raw ids in first-seen order; map them back by name.
+    user = np.array([small_dataset.user_raw.index(raw) for raw in reparsed.user_ids])
+    poi = np.array([small_dataset.poi_raw.index(raw) for raw in reparsed.poi_ids])
+    records = reparsed.records
+    assert [CheckIn(int(user[r.user]), r.t, r.lat, r.lon, int(poi[r.poi]))
+            for r in records] == small_dataset.records
 
 
 def test_load_dataset_rejects_random_directory(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_dataset(tmp_path)
+
+
+# -- the events table, corrupted --------------------------------------------------
+
+def _npy(array, claim: int | None = None) -> bytes:
+    """``array`` in the .npy format; ``claim`` replaces the row count its header states."""
+    buf = io.BytesIO()
+    if claim is None:
+        np.save(buf, array, allow_pickle=True)
+    else:
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+            "shape": (claim,)})
+        buf.write(array.tobytes())
+    return buf.getvalue()
+
+
+def _other_tables(table):
+    """The table with the wrong dtype or number of dimensions."""
+    names = table.dtype.names
+    return [table.astype([(f, "<i8") for f in names]),
+            table.astype([(f, "<f4" if f in ("lat", "lon") else "<i8") for f in names]),
+            table.astype([(f, ">f8" if f in ("lat", "lon") else ">i8") for f in names]),
+            table.astype([("uid" if f == "user" else f, table.dtype[f]) for f in names]),
+            table[["user", "t", "lat", "lon"]],
+            np.column_stack([table[f].astype(float) for f in names]),
+            table.reshape(-1, 2), table[None],
+            np.array([dict(user=0)] * len(table), dtype=object)]
+
+
+#: Ways to corrupt a saved events table: (kind, row or byte, detail).
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncated"), st.integers(0, 1 << 20), st.none()),
+    st.tuples(st.just("header byte"), st.integers(0, 1 << 20), st.integers(1, 255)),
+    st.tuples(st.just("body bits"), st.integers(0, 1 << 20),
+              st.sampled_from(["user", "t", "lat", "lon", "poi"])),
+    st.tuples(st.just("other table"), st.integers(0, 8), st.none()),
+    st.tuples(st.just("rows"), st.none(), st.sampled_from([-1, 1])),
+    st.tuples(st.just("user"), st.integers(0, 1 << 20), st.sampled_from([10, 11, -1, 2**62])),
+    st.tuples(st.just("poi"), st.integers(0, 1 << 20), st.sampled_from([20, 21, -1, -2**63])),
+    st.tuples(st.just("lat"), st.integers(0, 1 << 20),
+              st.sampled_from([np.nan, np.inf, -np.inf, 90.5, -90.0000001, 1e300])),
+    st.tuples(st.just("lon"), st.integers(0, 1 << 20),
+              st.sampled_from([np.nan, -np.nan, np.inf, -180.0, 180.00001, -1e300])),
+    st.tuples(st.just("t"), st.integers(0, 1 << 20), st.sampled_from([0, -1, -2**40])),
+    st.tuples(st.just("claims 10^12 rows"), st.none(), st.none()))
+
+
+def _corrupt(original: bytes, table, kind, at, detail) -> bytes:
+    offset = len(original) - table.nbytes
+    if kind == "truncated":
+        return original[:at % len(original)]
+    if kind == "header byte":
+        at %= offset
+        return original[:at] + bytes([original[at] ^ detail]) + original[at + 1:]
+    if kind == "body bits":
+        # Bits that break a check: the sign bit of an id or a time, and every
+        # exponent bit of a coordinate (inf or NaN).
+        at = offset + (at % len(table)) * table.itemsize + table.dtype.fields[detail][1]
+        value = bytearray(original[at:at + 8])
+        if detail in ("lat", "lon"):
+            value[6] |= 0xF0
+            value[7] |= 0x7F
+        else:
+            value[7] ^= 0x80
+        return original[:at] + bytes(value) + original[at + 8:]
+    if kind == "other table":
+        return _npy(_other_tables(table)[at])
+    if kind == "rows":
+        return _npy(table[:-1] if detail < 0 else np.concatenate([table, table[-1:]]))
+    if kind == "claims 10^12 rows":
+        return _npy(table, claim=10**12)
+    changed = table.copy()
+    changed[kind][at % len(table)] = detail
+    return _npy(changed)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory, small_dataset):
+    """A saved small dataset, and its events table as bytes and as an array."""
+    out = tmp_path_factory.mktemp("table") / "ds"
+    save_dataset(small_dataset, out)
+    return out, (out / "events.npy").read_bytes(), np.load(out / "events.npy")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(CORRUPTIONS)
+def test_corrupt_events_table_is_a_data_error(table_dir, small_dataset, case):
+    """Every corruption is refused with DataError, and ``stats`` exits 3.
+    A header byte may also change nothing the reader sees (padding spaces,
+    the trailing comma); then the very same columns load."""
+    directory, original, table = table_dir
+    (directory / "events.npy").write_bytes(_corrupt(original, table, *case))
+    try:
+        loaded = load_dataset(directory)
+    except DataError:
+        refused = True
+    else:
+        refused = False
+        assert case[0] == "header byte", case
+        for name, column in small_dataset.events.columns.items():
+            assert np.array_equal(_bits(loaded.events.columns[name]), _bits(column)), case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["stats", "--data", str(directory), "--out",
+                         str(directory.parent / "stats")])
+    assert code == (cli.EXIT_DATA if refused else 0), case
 
 
 def test_dataset_immutable_under_reader(small_dataset):

@@ -1,5 +1,6 @@
 """Fusion, ranking, metric, and report tests."""
 
+import dataclasses
 import json
 import tracemalloc
 from bisect import bisect_left, bisect_right
@@ -500,6 +501,18 @@ class TestReports:
                                   s_u_mode="static")
             outputs.append({v: r.to_json() for v, r in reports.items()})
         assert outputs[0] == outputs[1]
+
+    def test_json_is_the_dataclass_image(self, small_dataset):
+        """``to_json`` reads the fields as they are: the same text as
+        dumping ``dataclasses.asdict``'s deep copy, string keys at the top."""
+        settings = TrainSettings(dim=4, slot_dim=2, epochs=1, lr=0.01, beta=1.0)
+        report = run_battery(small_dataset, variants=("full",), seeds=(7, 8), settings=settings,
+                             s_u_mode="static")["full"]
+        image = dataclasses.asdict(report)
+        image.update(ks=list(report.ks), acc={str(k): v for k, v in report.acc.items()},
+                     per_user={str(u): v for u, v in report.per_user.items()})
+        assert len(report.per_seed) == 2 and len(report.per_user) == small_dataset.n_users
+        assert report.to_json() == json.dumps(image, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("request_kw, message", [
         (dict(variants=("poi_net_only",)), "top-k 10 exceeds the 3 candidates"),

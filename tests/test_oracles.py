@@ -29,12 +29,11 @@ from nextloc.user_net import UserNet
 
 # -- the per-line parser and the per-record writer ---------------------------------
 
-def line_parser(path, fmt="gowalla", user_ids=None, poi_ids=None):
+def line_parser(path, fmt="gowalla"):
     """``parse_checkin_file`` one line at a time: (records, user ids, place
     ids, malformed, total lines)."""
     columns = FORMATS[fmt]
-    users = dict(user_ids) if user_ids else {}
-    pois = dict(poi_ids) if poi_ids else {}
+    users, pois = {}, {}
     records, malformed, total = [], 0, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -136,10 +135,9 @@ def checkin_files(draw):
     return data, fmt
 
 
-def outcome(parse, path, fmt, preassigned):
-    ids = ({"user_ids": {"u2": 0, "a b": 1}, "poi_ids": {"p2": 0}} if preassigned else {})
+def outcome(parse, path, fmt):
     try:
-        result = parse(path, fmt, **ids)
+        result = parse(path, fmt)
     except DataError as exc:
         message = str(exc)
         # The decoder's byte offset depends on how much text it was given.
@@ -156,12 +154,11 @@ def raw_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(checkin_files(), st.booleans())
-def test_parser_matches_the_line_parser(raw_path, file, preassigned):
+@given(checkin_files())
+def test_parser_matches_the_line_parser(raw_path, file):
     data, fmt = file
     raw_path.write_bytes(data)
-    assert (outcome(parse_checkin_file, raw_path, fmt, preassigned)
-            == outcome(line_parser, raw_path, fmt, preassigned))
+    assert outcome(parse_checkin_file, raw_path, fmt) == outcome(line_parser, raw_path, fmt)
 
 
 @pytest.mark.parametrize("field, text", [("time", t) for t in TIME_SAMPLES]
@@ -175,7 +172,7 @@ def test_parser_matches_the_line_parser_on_each_sample(tmp_path, fmt, field, tex
     lines = valid_lines(FORMATS[fmt])
     path.write_text("\n".join(lines[:70] + ["\t".join(row[c] for c in FORMATS[fmt])]
                               + lines[70:]), encoding="utf-8")
-    assert outcome(parse_checkin_file, path, fmt, False) == outcome(line_parser, path, fmt, False)
+    assert outcome(parse_checkin_file, path, fmt) == outcome(line_parser, path, fmt)
 
 
 def test_parser_reads_files_larger_than_one_block(tmp_path):
@@ -184,8 +181,7 @@ def test_parser_reads_files_larger_than_one_block(tmp_path):
     lines = [f"u{i % 13}\t{format_timestamp(1_262_304_000 + 60 * i)}\t{40 + i / 1e5!r}"
              f"\t-75.0\tp{(7 * i) % 31}" for i in range(20_000)]
     path.write_text("\n".join(lines[:9_000] + ["broken"] + lines[9_000:]) + "\n")
-    assert outcome(parse_checkin_file, path, "gowalla", False) == outcome(
-        line_parser, path, "gowalla", False)
+    assert outcome(parse_checkin_file, path, "gowalla") == outcome(line_parser, path, "gowalla")
 
 
 # -- writer --------------------------------------------------------------------------
