@@ -588,9 +588,8 @@ def test_raw_file_round_trip(tmp_path, small_dataset):
     # The parser numbers raw ids in first-seen order; map them back by name.
     user = np.array([small_dataset.user_raw.index(raw) for raw in reparsed.user_ids])
     poi = np.array([small_dataset.poi_raw.index(raw) for raw in reparsed.poi_ids])
-    records = reparsed.records
     assert [CheckIn(int(user[r.user]), r.t, r.lat, r.lon, int(poi[r.poi]))
-            for r in records] == small_dataset.records
+            for r in reparsed.records] == small_dataset.records
 
 
 def test_load_dataset_rejects_random_directory(tmp_path):
