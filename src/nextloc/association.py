@@ -149,11 +149,12 @@ def adjust_poi_scores(corr_l: np.ndarray, s_l: np.ndarray) -> np.ndarray:
 
 def save_similarity(path, matrix: np.ndarray) -> None:
     """Sparse triplet text export: a shape line, then 'row col value' lines."""
+    rows, cols = np.nonzero(matrix)
+    # tolist() gives Python floats: repr of a numpy scalar is not parseable text.
+    lines = zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for i, j in zip(*np.nonzero(matrix)):
-            # float() first: repr of a numpy scalar is not parseable text.
-            f.write(f"{i} {j} {float(matrix[i, j])!r}\n")
+        f.write(f"{matrix.shape[0]} {matrix.shape[1]}\n"
+                + "".join(f"{i} {j} {value!r}\n" for i, j, value in lines))
 
 
 def load_similarity(path) -> np.ndarray:

@@ -631,8 +631,15 @@ def write_checkin_file(path, records, user_raw: list[str],
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write a self-describing dataset directory (manifest, events table, id maps)."""
+    """Write a self-describing dataset directory (manifest, events table, id
+    maps, and ``meta.json`` when the dataset has meta).  A ``meta.json`` or
+    a version-1 ``events.tsv`` left by an earlier dataset in the directory is
+    removed, so that no part of it is read with this one."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in ["events.tsv"] + ([] if dataset.meta else ["meta.json"]):
+        stale = os.path.join(out_dir, name)
+        if os.path.exists(stale):
+            os.remove(stale)
     manifest = {
         "version": DATASET_VERSION,
         "n_users": dataset.n_users,

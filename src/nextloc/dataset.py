@@ -262,6 +262,19 @@ class Dataset:
         return self._window_views("by_poi", VisitEvent)
 
 
+def _in_order(*keys: np.ndarray) -> bool:
+    """Whether the rows are already in lexicographic order of ``keys``, the
+    first key most significant: then a stable sort would leave them as they
+    are."""
+    ahead = np.zeros(keys[0].size - 1, dtype=bool)      # settled by an earlier key
+    for key in keys:
+        step = np.diff(key)
+        if np.any(~ahead & (step < 0)):
+            return False
+        ahead |= step > 0
+    return True
+
+
 def build_dataset(records, split_ratio: float = 0.8,
                   window: int = 20, slots: int = 24,
                   user_raw: list[str] | None = None,
@@ -270,7 +283,9 @@ def build_dataset(records, split_ratio: float = 0.8,
     """A Dataset from check-ins (an Events or a list of CheckIn) in any order.
 
     Raw id lists, when given, name every user and place; otherwise the
-    largest id seen sets each count.
+    largest id seen sets each count.  Events already in (t, user, poi) order,
+    as ``load_dataset`` reads them, are not sorted again: the Dataset's
+    columns are then views of the given ones.
     """
     check_settings(split_ratio, window, slots)
     given = Events.of(records)
@@ -278,7 +293,9 @@ def build_dataset(records, split_ratio: float = 0.8,
         raise DataError("no records to build a dataset from")
     if min(given.user.min(), given.poi.min()) < 0:
         raise DataError("user and POI ids must be non-negative")
-    events = given.take(np.lexsort((given.poi, given.user, given.t)))
+    # A new Events either way, since slot and weekday columns are added to it.
+    events = given.take(slice(None) if _in_order(given.t, given.user, given.poi)
+                        else np.lexsort((given.poi, given.user, given.t)))
     user, poi = events.user, events.poi
     n_users = len(user_raw) if user_raw else int(user.max()) + 1
     n_pois = len(poi_raw) if poi_raw else int(poi.max()) + 1
@@ -294,7 +311,8 @@ def build_dataset(records, split_ratio: float = 0.8,
     by_user = Grouping.build(np.argsort(user, kind="stable"), user, n_users, n_train, window)
     in_train = np.empty(len(events), dtype=bool)
     in_train[by_user.order] = by_user.positions()[2]
-    by_poi = Grouping.build(np.lexsort((~in_train, poi)), poi, n_pois,
+    # By place, each place's training events first: one stable sort of one key.
+    by_poi = Grouping.build(np.argsort(2 * poi + ~in_train, kind="stable"), poi, n_pois,
                             np.bincount(poi[in_train], minlength=n_pois), window)
     return Dataset(
         n_users=n_users, n_pois=n_pois, split_ratio=split_ratio,

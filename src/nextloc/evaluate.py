@@ -141,6 +141,28 @@ def _blocks(n: int):
     return (np.arange(s, min(s + RANK_BLOCK, n)) for s in range(0, n, RANK_BLOCK))
 
 
+def _ranks_by_owner(rows_of, owners: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """``ranks_of_truths`` for instances that read their owner's row: each
+    instance's owner (a user or a place) and true candidate, and
+    ``rows_of(block)``, the rows of an ascending block of at most
+    ``RANK_BLOCK`` distinct owners.  Each block is sorted once, stably and
+    descending as in rank_top_k, and each instance reads its truth's position
+    in its owner's row."""
+    order = np.argsort(owners, kind="stable")
+    present, counts = np.unique(owners, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = np.empty(owners.size, dtype=np.int64)
+    for lo in range(0, present.size, RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, present.size)
+        rows = rows_of(present[lo:hi])
+        position = np.empty(rows.shape, dtype=np.int64)
+        np.put_along_axis(position, np.argsort(-rows, axis=1, kind="stable"),
+                          np.arange(1, rows.shape[1] + 1), axis=1)
+        idx = order[ends[lo] - counts[lo]:ends[hi - 1]]
+        ranks[idx] = position[np.repeat(np.arange(hi - lo), counts[lo:hi]), truths[idx]]
+    return ranks
+
+
 def _list_ranks(ranked_lists, truths) -> np.ndarray:
     """Each truth's 1-based position in its ranked list, inf where it is missing."""
     if len(ranked_lists) != len(truths):
@@ -233,14 +255,17 @@ class _UserSideRows:
 
     The instances are the test events, by user and then in test order:
     ``users``, ``places`` (the truth) and ``times`` hold each one's user,
-    place and time.  ``walk`` yields blocks of instances with the users' own
-    rows and, given a similarity matrix, the cross-user adjusted rows.
+    place and time.
 
-    static: one row per user at the end of training history
-    (``UserNet.predict_score_matrix``) and one ``adjust_user_scores`` product.
+    static: one row per user at the end of training history, ``static``
+    (``UserNet.predict_score_matrix``), and given a similarity matrix one
+    ``adjust_user_scores`` product, ``static_adj``.  Every instance of a user
+    reads that user's rows, so evaluation ranks them by user.
 
-    stepwise: ``run_histories`` runs each user's history through the cell
-    once, as far as the last cut the walk reads, and the walk scores each cut
+    stepwise: ``walk`` yields blocks of instances with their own rows and,
+    given a similarity matrix, their cross-user adjusted rows.
+    ``run_histories`` runs each user's history through the cell once, as far
+    as the last cut the walk reads, and the walk scores each cut
     it reads once, when it reaches it (``_RowStream``).  An instance's own row
     sits at the cut before it.  For cross-user rows the walk visits instances
     in time order and keeps a users-by-places matrix holding each user's row
@@ -265,7 +290,6 @@ class _UserSideRows:
     def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,
                  mode: str = "stepwise"):
         self.corr_u = corr_u
-        self.mode = mode
         self.net = net
         g, events = dataset.by_user, dataset.events
         owner, rank, in_train = g.positions()
@@ -319,15 +343,9 @@ class _UserSideRows:
         self.run = net.run_histories((events, g.order, g.offsets), users, cuts)
 
     def walk(self):
-        """Yield (instance indices, own rows, adjusted rows or None) in blocks
-        of at most ``RANK_BLOCK`` instances."""
+        """Stepwise rows: yield (instance indices, own rows, adjusted rows or
+        None) in blocks of at most ``RANK_BLOCK`` instances."""
         n = self.users.size
-        if self.mode == "static":
-            for idx in _blocks(n):
-                users = self.users[idx]
-                yield idx, self.static[users], (self.static_adj[users]
-                                                if self.static_adj is not None else None)
-            return
         own = _RowStream(self.net, self.run, *self.own)
         if self.corr_u is None:
             for idx in _blocks(n):
@@ -436,9 +454,12 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
     Every wiring is checked before anything is scored, and a dataset without
     test events raises DataError.  Each part the requested wirings read is
     built at most once: the similarity matrices and place-side rows ``s_l``
-    unless given, the cross-place adjustment, and one set of user-side rows,
-    which a single walk ranks under every variant, a block of instances at a
-    time.
+    unless given, the cross-place adjustment, and one set of user-side rows.
+    Static rows are ranked once per owner row, in blocks of ``RANK_BLOCK``
+    users (or places for the next-visitor task), and every instance reads its
+    truth's rank in its owner's row; the stepwise walk ranks each instance's
+    own row under every variant, a block of instances at a time.  Both follow
+    rank_top_k's tie rule.
     A result holds "variant", "fusion", "ranks" (each test event's 1-based
     rank, by user, or place for the next-visitor task, then in test order),
     "n", "acc", "mrr", "per_user" and "unseen": the same metrics over test
@@ -478,14 +499,23 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
                   s_l_adj if WIRING[v].poi_adj else s_l if WIRING[v].poi_net else None)
                  for v in user_side]
         owners, truths = user_rows.users, user_rows.places
+
+        def fused(rows, users, place_side):
+            return rows if place_side is None else _combine(rows, place_side[:, users].T, fusion)
+
         ranks = np.empty((len(user_side), owners.size), dtype=np.int64)
-        for idx, own, adjusted in user_rows.walk():
-            users = owners[idx]
+        if s_u_mode == "static":
+            # Every instance of a user reads that user's one row.
             for j, (user_adj, place_side) in enumerate(picks):
-                rows = adjusted if user_adj else own
-                if place_side is not None:
-                    rows = _combine(rows, place_side[:, users].T, fusion)
-                ranks[j, idx] = ranks_of_truths(rows, truths[idx])
+                table = user_rows.static_adj if user_adj else user_rows.static
+                ranks[j] = _ranks_by_owner(lambda users: fused(table[users], users, place_side),
+                                           owners, truths)
+        else:
+            for idx, own, adjusted in user_rows.walk():
+                users = owners[idx]
+                for j, (user_adj, place_side) in enumerate(picks):
+                    rows = fused(adjusted if user_adj else own, users, place_side)
+                    ranks[j, idx] = ranks_of_truths(rows, truths[idx])
         unseen_mask = ~association.seen_in_training(dataset, user_rows.users, user_rows.places)
         for variant, variant_ranks in zip(user_side, ranks):
             results[variant] = _package(variant, fusion, ks, variant_ranks, unseen_mask, owners)
@@ -497,9 +527,7 @@ def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray,
     g, visitor = dataset.by_poi, dataset.events.user
     owner, _, in_train = g.positions()
     places, users = owner[~in_train], visitor[g.order[~in_train]]
-    ranks = np.empty(places.size, dtype=np.int64)
-    for idx in _blocks(places.size):
-        ranks[idx] = ranks_of_truths(s_l_adj[places[idx]], users[idx])
+    ranks = _ranks_by_owner(lambda block: s_l_adj[block], places, users)
     unseen_mask = ~association.seen_in_training(dataset, users, places)
     return _package("poi_net_only", fusion, ks, ranks, unseen_mask, places)
 
@@ -514,13 +542,26 @@ def _package(variant, fusion, ks, ranks, unseen_mask, owners) -> dict:
         out["unseen"] = _metrics_from_ranks(ranks[unseen_mask], ks)
     else:
         out["unseen"] = {"acc": {int(k): None for k in ks}, "mrr": None, "n": 0}
-    order = np.argsort(owners, kind="stable")
-    entities, starts, counts = np.unique(np.asarray(owners)[order], return_index=True,
-                                         return_counts=True)
-    reciprocal = 1.0 / ranks[order]     # each owner's instances, contiguous
-    out["per_user"] = {e: {"n": n, "mrr": float(np.mean(reciprocal[s:s + n]))}
-                       for e, s, n in zip(entities.tolist(), starts.tolist(), counts.tolist())}
+    entities, counts, means = _owner_means(np.asarray(owners), 1.0 / ranks)
+    out["per_user"] = {e: {"n": n, "mrr": m}
+                       for e, n, m in zip(entities.tolist(), counts.tolist(), means.tolist())}
     return out
+
+
+def _owner_means(owners: np.ndarray, values: np.ndarray):
+    """Each distinct owner (ascending), its count, and the mean of its
+    values, bit for bit ``np.mean`` of each owner's values in input order:
+    owners of equal count are stacked and averaged along rows, which sums
+    each row as a 1-D mean does (``np.add.reduceat`` and ``np.bincount`` sum
+    in another order)."""
+    order = np.argsort(owners, kind="stable")
+    entities, starts, counts = np.unique(owners[order], return_index=True, return_counts=True)
+    grouped = values[order]
+    means = np.empty(entities.size)
+    for n in np.unique(counts).tolist():
+        same = np.flatnonzero(counts == n)
+        means[same] = grouped[starts[same, None] + np.arange(n)].mean(axis=1)
+    return entities, counts, means
 
 
 # -- multi-seed reports -------------------------------------------------------
@@ -645,14 +686,15 @@ def _aggregate(variant, fusion, ks, seeds, runs: list[dict]) -> EvalReport:
         vals = [v for v in values if v is not None]
         return float(np.mean(vals)) if vals else None
 
-    per_user: dict[int, dict] = {}
-    for run in runs:
-        for u, entry in run["per_user"].items():
-            agg = per_user.setdefault(int(u), {"n": 0, "_rrs": []})
-            agg["n"] += entry["n"]
-            agg["_rrs"].append(entry["mrr"])
-    for agg in per_user.values():
-        agg["mrr"] = float(np.mean(agg.pop("_rrs")))
+    # Each owner's entries in run order; owners in order of first appearance.
+    owners = np.array([int(u) for run in runs for u in run["per_user"]], dtype=np.int64)
+    entries = [entry for run in runs for entry in run["per_user"].values()]
+    totals = np.zeros(owners.max(initial=-1) + 1, dtype=np.int64)
+    np.add.at(totals, owners, [entry["n"] for entry in entries])
+    users, _, means = _owner_means(owners, np.array([e["mrr"] for e in entries], dtype=float))
+    by_user = {u: {"n": n, "mrr": m}
+               for u, n, m in zip(users.tolist(), totals[users].tolist(), means.tolist())}
+    per_user = {u: by_user[u] for u in dict.fromkeys(owners.tolist())}
 
     return EvalReport(
         variant=variant,
