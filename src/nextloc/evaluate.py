@@ -116,8 +116,8 @@ def rank_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-#: Instances ranked together: the block bounds the (instances x candidates)
-#: temporaries of ranking.
+#: Rows ranked together, one per instance (stepwise) or per owner (static):
+#: the block bounds the (rows x candidates) temporaries of ranking.
 RANK_BLOCK = 256
 
 

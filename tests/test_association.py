@@ -207,6 +207,18 @@ class TestPersistence:
         assert loaded.shape == (2, 5)
         np.testing.assert_array_equal(loaded, mat)
 
+    def test_bytes_are_one_line_per_nonzero(self, tmp_path):
+        """The export's exact text: the shape, then each nonzero in row-major
+        order as its indices and the ``repr`` of its float."""
+        rng = np.random.default_rng(5)
+        mat = rng.random((7, 9)) * (rng.random((7, 9)) < 0.5)
+        mat[0, :4] = [1e-300, -2.5, 1.0, 0.1 + 0.2]
+        mat[6, 8] = -0.0      # not a nonzero
+        save_similarity(tmp_path / "corr.txt", mat)
+        want = "7 9\n" + "".join(f"{i} {j} {float(mat[i, j])!r}\n"
+                                 for i in range(7) for j in range(9) if mat[i, j] != 0)
+        assert (tmp_path / "corr.txt").read_bytes() == want.encode()
+
 
     @pytest.mark.parametrize("text, complaint", [
         ("", "header"),

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextloc import association, cli, data
+from nextloc import dataset as dataset_module
 from nextloc.data import (CheckIn, DataError, SyntheticSpec, build_dataset,
                           day_index, discretize_time, filter_inactive_users,
                           filter_rare_pois, generate_synthetic, load_dataset,
@@ -333,6 +335,45 @@ def test_build_dataset_needs_two_train_events():
         build_dataset(trajectory(0, [0]) + trajectory(1, [1, 0, 1, 0], start=2_000_000))
 
 
+def _keys(rows):
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+                min_size=1, max_size=30)
+       .flatmap(lambda rows: st.sampled_from([rows, sorted(rows)])))
+def test_order_check_is_exactly_an_identity_sort(rows):
+    """build_dataset skips the sort exactly when the stable (t, user, poi)
+    sort would leave the rows where they are, ties and duplicates included."""
+    t, user, poi = _keys(rows)
+    identity = np.array_equal(np.lexsort((poi, user, t)), np.arange(t.size))
+    assert dataset_module._in_order(t, user, poi) == identity
+
+
+def test_ordered_events_are_not_sorted_again(small_dataset, monkeypatch):
+    """Events already in (t, user, poi) order build the columns and groupings
+    the sorting path builds, into a new Events: the caller's Events keeps
+    its columns and their values."""
+    given = dataset_module.Events(CheckIn, **{f: small_dataset.events.columns[f].copy()
+                                              for f in CheckIn._fields})
+    before = {f: column.copy() for f, column in given.columns.items()}
+    kept = build_dataset(given, window=5)
+    monkeypatch.setattr(dataset_module, "_in_order", lambda *keys: False)
+    resorted = build_dataset(given, window=5)
+    assert list(given.columns) == list(CheckIn._fields)
+    for name, column in before.items():
+        assert np.array_equal(_bits(given.columns[name]), _bits(column)), name
+    assert kept.events is not given and set(kept.events.columns) == set(resorted.events.columns)
+    for name, column in resorted.events.columns.items():
+        got = kept.events.columns[name]
+        assert got.dtype == column.dtype and np.array_equal(_bits(got), _bits(column)), name
+    for grouping in ("by_user", "by_poi"):
+        for field in dataclasses.fields(dataset_module.Grouping):
+            assert np.array_equal(getattr(getattr(kept, grouping), field.name),
+                                  getattr(getattr(resorted, grouping), field.name))
+
+
 def test_build_dataset_empty():
     with pytest.raises(DataError):
         build_dataset([])
@@ -576,6 +617,60 @@ def test_load_dataset_parses_no_text(tmp_path, small_dataset, monkeypatch):
         raise AssertionError("load_dataset parsed text")
     monkeypatch.setattr(data, "parse_checkin_file", refuse)
     assert load_dataset(tmp_path / "ds").records == small_dataset.records
+
+
+def test_load_dataset_sorts_nothing(tmp_path, small_dataset, monkeypatch):
+    """A saved table is in (t, user, poi) order, so loading it calls
+    ``np.lexsort`` not once; the same events reversed are sorted once."""
+    save_dataset(small_dataset, tmp_path / "ds")
+    calls = []
+    lexsort = np.lexsort
+
+    def counting(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+    monkeypatch.setattr(np, "lexsort", counting)
+    assert load_dataset(tmp_path / "ds").records == small_dataset.records
+    assert calls == []
+    build_dataset(small_dataset.events.take(slice(None, None, -1)))
+    assert calls == [3]
+
+
+def test_save_dataset_removes_stale_meta(tmp_path, small_dataset):
+    """A dataset without meta saved where one with meta was leaves no
+    ``meta.json`` behind, so the old planted labels are not read with it."""
+    out = tmp_path / "ds"
+    save_dataset(small_dataset, out)
+    assert (out / "meta.json").exists()
+    save_dataset(dataclasses.replace(small_dataset, meta={}), out)
+    assert not (out / "meta.json").exists()
+    assert load_dataset(out).meta == {}
+
+
+def test_ingest_over_synth_keeps_no_synthetic_meta(tmp_path, small_dataset):
+    """``synth --out D`` then ``ingest --out D``: D loads without the
+    synthetic meta (clone pairs, adoption positions)."""
+    out, raw = tmp_path / "ds", tmp_path / "raw.txt"
+    write_checkin_file(raw, small_dataset.events, small_dataset.user_raw, small_dataset.poi_raw)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(out), "--seed", "1"]) == 0
+        assert "clone_pairs" in load_dataset(out).meta
+        assert cli.main(["ingest", "--input", str(raw), "--out", str(out),
+                         "--min-records", "1"]) == 0
+    assert not (out / "meta.json").exists()
+    assert load_dataset(out).meta == {}
+
+
+def test_save_dataset_removes_a_version_1_events_file(tmp_path, small_dataset):
+    """Saving over a version-1 directory leaves no ``events.tsv`` beside the
+    new events table."""
+    out = tmp_path / "ds"
+    out.mkdir()
+    write_checkin_file(out / "events.tsv", small_dataset.events, small_dataset.user_raw,
+                       small_dataset.poi_raw)
+    save_dataset(small_dataset, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.npy", "manifest.json", "meta.json", "pois.tsv", "users.tsv"]
 
 
 def test_raw_file_round_trip(tmp_path, small_dataset):

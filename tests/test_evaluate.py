@@ -7,15 +7,18 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nextloc import association
+from nextloc import association, evaluate
 from nextloc import autodiff as ad
 from nextloc.data import CheckIn, DataError, SyntheticSpec, build_dataset, generate_synthetic
-from nextloc.evaluate import (VARIANTS, WIRING, EvalReport, FusionStrategy,
-                              TrainSettings, _UserSideRows, acc_at_k, case_report,
+from nextloc.evaluate import (FUSION_KINDS, VARIANTS, WIRING, EvalReport, FusionStrategy,
+                              TrainSettings, _aggregate, _package, _ranks_by_owner,
+                              _UserSideRows, acc_at_k, case_report,
                               evaluate_variants, evaluate_with_nets, fuse, mrr,
                               motivation_stats,
-                              rank_of_truth, rank_top_k, run_battery,
+                              rank_of_truth, rank_top_k, ranks_of_truths, run_battery,
                               single_report)
 from nextloc.net import WindowNet
 from nextloc.poi_net import PoiNet
@@ -127,6 +130,29 @@ class TestRanking:
             assert rank_of_truth(scores, truth) == order.index(truth) + 1
 
 
+#: Scores that tie in many ways: equal values, +0.0 against -0.0, infinities.
+TIED_SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_tie_rule(data):
+    """A truth's position in rank_top_k's full ranking of its row, the
+    gather-and-count ranks_of_truths and the sort-once-per-owner
+    _ranks_by_owner agree, for owner rows with forced ties, any number of
+    instances per owner in any order, and a single candidate."""
+    c = data.draw(st.integers(1, 6), label="candidates")
+    rows = np.array(data.draw(st.lists(st.lists(TIED_SCORES, min_size=c, max_size=c),
+                                       min_size=1, max_size=5), label="rows"))
+    owners = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                         max_size=12), label="owners"))
+    truths = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=owners.size,
+                                         max_size=owners.size), label="truths"))
+    positions = [list(rank_top_k(rows[o], c)).index(t) + 1 for o, t in zip(owners, truths)]
+    assert ranks_of_truths(rows[owners], truths).tolist() == positions
+    assert _ranks_by_owner(lambda block: rows[block], owners, truths).tolist() == positions
+
+
 class TestMetrics:
     def test_reciprocal_rank_mean(self):
         lists = [[7, 3, 2, 5], [1, 2, 3, 4]]
@@ -208,6 +234,46 @@ class TestEvaluateWiring:
                                  corr_u=corr_u, corr_l=corr_l, s_l=s_l,
                                  s_u_mode="static")
         assert out["mrr"] == expected
+
+    @pytest.mark.parametrize("fusion", [FusionStrategy(k) for k in FUSION_KINDS
+                                        if k != "weighted_add"]
+                             + [FusionStrategy("weighted_add", 0.7, 0.3)],
+                             ids=lambda f: f.label())
+    def test_static_ranks_equal_gather_and_count(self, small_dataset, nets, monkeypatch,
+                                                 fusion):
+        """Static ranks, taken once per owner row in blocks of 3 owners, are
+        the ranks of each instance's own gathered row counted by
+        ranks_of_truths, for every variant.  Scores rounded to two places
+        force ties."""
+        user_net, poi_net = nets
+        ds = small_dataset
+        s_u = np.round(user_net.predict_score_matrix(ds), 2)
+        s_l = np.round(poi_net.predict_score_matrix(ds), 2)
+        monkeypatch.setattr(user_net, "predict_score_matrix", lambda dataset: s_u)
+        monkeypatch.setattr(evaluate, "RANK_BLOCK", 3)
+        corr_u, corr_l = association.user_similarity(ds), association.poi_similarity(ds)
+        results = evaluate_variants(ds, user_net, poi_net, VARIANTS, fusion, ks=(1,),
+                                    corr_u=corr_u, corr_l=corr_l, s_l=s_l, s_u_mode="static")
+        s_u_adj = association.adjust_user_scores(corr_u, s_u)
+        s_l_adj = association.adjust_poi_scores(corr_l, s_l)
+        owner, _, in_train = ds.by_user.positions()
+        users, places = owner[~in_train], ds.events.poi[ds.by_user.order[~in_train]]
+        owner, _, in_train = ds.by_poi.positions()
+        visited, visitors = owner[~in_train], ds.events.user[ds.by_poi.order[~in_train]]
+        ties = 0
+        for variant in VARIANTS:
+            w = WIRING[variant]
+            if variant == "poi_net_only":
+                rows, truths = s_l_adj[visited], visitors
+            else:
+                user_side = s_u_adj if w.user_adj else s_u
+                place_side = s_l_adj if w.poi_adj else s_l if w.poi_net else None
+                rows = (user_side if place_side is None
+                        else fuse(user_side, place_side, fusion))[users]
+                truths = places
+            assert results[variant]["ranks"] == ranks_of_truths(rows, truths).tolist(), variant
+            ties += np.count_nonzero(rows == rows[np.arange(truths.size), truths][:, None])
+        assert ties > len(VARIANTS) * truths.size      # some truth ties another candidate
 
     def test_identity_wiring_collapses_to_single_net(self, small_dataset, nets):
         """Identity similarity plus a silent place side must reproduce the
@@ -548,6 +614,52 @@ class TestReports:
         assert report.n_instances == 8
         assert report.unseen_mrr is None
         assert report.per_user[0]["n"] == 8
+
+
+#: Owner sizes at the edges of numpy's summation blocks (unrolled by 8).
+OWNER_COUNTS = (1, 7, 8, 9, 129)
+
+
+def test_package_per_user_is_the_per_slice_mean():
+    """``per_user`` holds each owner's count and ``np.mean`` of its
+    reciprocal ranks, bit for bit, owners ascending, whatever the order of
+    the instances."""
+    rng = np.random.default_rng(3)
+    counts = dict(zip((4, 0, 11, 2, 7), OWNER_COUNTS))
+    counts.update({u: int(rng.integers(1, 40)) for u in (1, 3, 5, 20)})
+    owners = rng.permutation(np.repeat(list(counts), list(counts.values())))
+    ranks = rng.integers(1, 60, owners.size)
+    out = _package("full", FusionStrategy(), (1,), ranks, np.zeros(owners.size, bool), owners)
+    reciprocal = 1.0 / ranks
+    want = {u: {"n": counts[u], "mrr": float(np.mean(reciprocal[owners == u]))}
+            for u in sorted(counts)}
+    assert out["per_user"] == want and list(out["per_user"]) == list(want)
+
+
+def test_aggregate_per_user_is_the_per_slice_mean():
+    """Over 129 runs, each owner's ``per_user`` entry is the sum of its
+    counts and ``np.mean`` of its per-run MRRs in run order, bit for bit,
+    for owners in 1, 7, 8, 9 and 129 runs and owners missing from random
+    runs; owners keep the order in which they first appear."""
+    rng = np.random.default_rng(4)
+    n_runs = max(OWNER_COUNTS)
+    runs_of = {u: set(rng.choice(n_runs, size=k, replace=False).tolist())
+               for u, k in zip((9, 3, 0, 6, 1), OWNER_COUNTS)}
+    runs_of.update({u: set(np.flatnonzero(rng.random(n_runs) < 0.3).tolist()) | {u}
+                    for u in (2, 4, 5, 8)})
+    runs = [{"seed": r, "n": 1, "mrr": 0.5, "acc": {1: 0.5},
+             "unseen": {"acc": {1: None}, "mrr": None, "n": 0},
+             "per_user": {u: {"n": int(rng.integers(1, 9)), "mrr": float(rng.random())}
+                          for u in sorted(runs_of) if r in runs_of[u]}}
+            for r in range(n_runs)]
+    report = _aggregate("full", FusionStrategy(), (1,), list(range(n_runs)), runs)
+    first_seen = list(dict.fromkeys(u for run in runs for u in run["per_user"]))
+    want = {u: {"n": sum(run["per_user"][u]["n"] for run in runs if u in run["per_user"]),
+                "mrr": float(np.mean([run["per_user"][u]["mrr"]
+                                      for run in runs if u in run["per_user"]]))}
+            for u in first_seen}
+    assert report.per_user == want and list(report.per_user) == first_seen
+    assert sorted(first_seen) != first_seen       # the order is not simply ascending
 
 
 class TestMotivationStats:
