@@ -114,7 +114,7 @@ def cmd_ingest(args) -> int:
     dataset = build_dataset(records, cfg.split_ratio, cfg.window, cfg.slots,
                             user_raw=user_raw, poi_raw=poi_raw)
     out = _out_dir(args.out, "dataset")
-    save_dataset(dataset, out)
+    save_dataset(dataset, out, keep=[args.input])
     _write_manifest(out, "ingest", cfg, keys=DATA_KEYS)
     n_train = int(dataset.by_user.train_counts.sum())
     n_test = len(dataset.events) - n_train

@@ -630,16 +630,42 @@ def write_checkin_file(path, records, user_raw: list[str],
             f.writelines(map(_LINE[fmt].format, *(text[c] for c in FORMATS[fmt])))
 
 
-def save_dataset(dataset: Dataset, out_dir) -> None:
+def _earlier_version(out_dir):
+    """The version named by the dataset manifest already in out_dir, or
+    None when out_dir holds none."""
+    try:
+        with open(os.path.join(out_dir, MANIFEST_NAME), "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (OSError, ValueError):
+        return None
+    return manifest.get("version") if isinstance(manifest, dict) else None
+
+
+def save_dataset(dataset: Dataset, out_dir, keep=()) -> None:
     """Write a self-describing dataset directory (manifest, events table, id
-    maps, and ``meta.json`` when the dataset has meta).  A ``meta.json`` or
-    a version-1 ``events.tsv`` left by an earlier dataset in the directory is
-    removed, so that no part of it is read with this one."""
+    maps, and ``meta.json`` when the dataset has meta).
+
+    Where out_dir already holds a dataset (a manifest naming a version), the
+    parts of it the new one does not write are removed, so that none is read
+    with it: its ``meta.json`` and, for version 1, its ``events.tsv``.
+    ``keep`` names files (an ingest's input) that must survive: if one is a
+    file the save would write over or remove, DataError, before anything is
+    written."""
+    version = _earlier_version(out_dir)
+    stale = ([] if dataset.meta or version is None else ["meta.json"]) + (
+        ["events.tsv"] if version == 1 else [])
+    touched = [MANIFEST_NAME, EVENTS_NAME, "users.tsv", "pois.tsv"] + stale + (
+        ["meta.json"] if dataset.meta else [])
+    for path in filter(os.path.exists, keep):
+        for name in touched:
+            target = os.path.join(out_dir, name)
+            if os.path.exists(target) and os.path.samefile(path, target):
+                raise DataError(f"{path} is the {name} that saving the dataset to {out_dir} "
+                                "would replace; save it to another directory")
     os.makedirs(out_dir, exist_ok=True)
-    for name in ["events.tsv"] + ([] if dataset.meta else ["meta.json"]):
-        stale = os.path.join(out_dir, name)
-        if os.path.exists(stale):
-            os.remove(stale)
+    for name in stale:
+        if os.path.exists(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
     manifest = {
         "version": DATASET_VERSION,
         "n_users": dataset.n_users,

@@ -19,6 +19,7 @@ from . import association
 from . import autodiff as ad
 from .config import TrainSettings
 from .data import DataError, Dataset, SyntheticSpec, generate_synthetic
+from .dataset import Grouping
 from .poi_net import PoiNet
 from .user_net import UserNet
 
@@ -40,7 +41,7 @@ WIRING = {
     "poi_net_only": Wiring(False, False, True, True),
 }
 VARIANTS = tuple(WIRING)
-ROW_MODES = ("stepwise", "static")      # user-side rows over test time; see _UserSideRows
+ROW_MODES = ("stepwise", "static")      # user-side rows over test time; see evaluate_variants
 
 FUSION_KINDS = ("maxpool", "weighted_add", "multiply", "minpool", "sum")
 
@@ -141,13 +142,40 @@ def _blocks(n: int):
     return (np.arange(s, min(s + RANK_BLOCK, n)) for s in range(0, n, RANK_BLOCK))
 
 
+#: Sorting a row of C candidates once costs about as much as counting
+#: ``SORT_COST * log2(C)`` gathered rows (``ranks_of_truths``): measured
+#: 1.4 to 2.1 for C from 100 to 30,000 on one core, 0.6 at C = 30.
+SORT_COST = 2.0
+
+
+def _positions(rows: np.ndarray) -> np.ndarray:
+    """Each candidate's 1-based position in its row's ranking: one stable
+    descending sort per row, as in rank_top_k.  Rows are sorted a quarter
+    block at a time, so that the sorts' temporaries come to one more
+    (rows x C) array beside ``rows`` and the result."""
+    position = np.empty(rows.shape, dtype=np.int64)
+    ranks = np.arange(1, rows.shape[1] + 1)
+    step = max(1, RANK_BLOCK // 4)
+    for s in range(0, rows.shape[0], step):
+        np.put_along_axis(position[s:s + step],
+                          np.argsort(-rows[s:s + step], axis=1, kind="stable"), ranks, axis=1)
+    return position
+
+
 def _ranks_by_owner(rows_of, owners: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """``ranks_of_truths`` for instances that read their owner's row: each
     instance's owner (a user or a place) and true candidate, and
     ``rows_of(block)``, the rows of an ascending block of at most
-    ``RANK_BLOCK`` distinct owners.  Each block is sorted once, stably and
-    descending as in rank_top_k, and each instance reads its truth's position
-    in its owner's row."""
+    ``RANK_BLOCK`` distinct owners.
+
+    Each block is ranked the cheaper way for its shape.  When its owners
+    average at least ``SORT_COST * log2(C)`` instances, each owner's row is
+    sorted once (``_positions``) and every instance reads its truth's
+    position there; otherwise each instance's row is gathered and counted,
+    ``RANK_BLOCK`` instances at a time.  So many instances per owner cost one
+    sort per owner, and owners with few instances over many candidates cost
+    no more than counting.  Either way the temporaries are a few (block x C)
+    arrays."""
     order = np.argsort(owners, kind="stable")
     present, counts = np.unique(owners, return_counts=True)
     ends = np.cumsum(counts)
@@ -155,11 +183,13 @@ def _ranks_by_owner(rows_of, owners: np.ndarray, truths: np.ndarray) -> np.ndarr
     for lo in range(0, present.size, RANK_BLOCK):
         hi = min(lo + RANK_BLOCK, present.size)
         rows = rows_of(present[lo:hi])
-        position = np.empty(rows.shape, dtype=np.int64)
-        np.put_along_axis(position, np.argsort(-rows, axis=1, kind="stable"),
-                          np.arange(1, rows.shape[1] + 1), axis=1)
         idx = order[ends[lo] - counts[lo]:ends[hi - 1]]
-        ranks[idx] = position[np.repeat(np.arange(hi - lo), counts[lo:hi]), truths[idx]]
+        local = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        if idx.size >= SORT_COST * np.log2(rows.shape[1]) * (hi - lo):
+            ranks[idx] = _positions(rows)[local, truths[idx]]
+        else:
+            for part in _blocks(idx.size):
+                ranks[idx[part]] = ranks_of_truths(rows[local[part]], truths[idx[part]])
     return ranks
 
 
@@ -250,20 +280,22 @@ def _set_rows(current: np.ndarray, users: np.ndarray, rows: np.ndarray) -> None:
     current[users[keep]] = rows[keep]
 
 
+def _test_instances(g: Grouping, targets: np.ndarray):
+    """The test events of a grouping, by owner and then in test order: each
+    one's owner and its entry of ``targets`` (an events column)."""
+    owner, _, in_train = g.positions()
+    return owner[~in_train], targets[g.order[~in_train]]
+
+
 class _UserSideRows:
-    """User-side score rows for every test instance, raw and cross-user adjusted.
+    """Stepwise user-side score rows for every test instance, raw and
+    cross-user adjusted.
 
     The instances are the test events, by user and then in test order:
     ``users``, ``places`` (the truth) and ``times`` hold each one's user,
-    place and time.
+    place and time.  ``walk`` yields blocks of instances with their own rows
+    and, given a similarity matrix, their cross-user adjusted rows.
 
-    static: one row per user at the end of training history, ``static``
-    (``UserNet.predict_score_matrix``), and given a similarity matrix one
-    ``adjust_user_scores`` product, ``static_adj``.  Every instance of a user
-    reads that user's rows, so evaluation ranks them by user.
-
-    stepwise: ``walk`` yields blocks of instances with their own rows and,
-    given a similarity matrix, their cross-user adjusted rows.
     ``run_histories`` runs each user's history through the cell once, as far
     as the last cut the walk reads, and the walk scores each cut
     it reads once, when it reaches it (``_RowStream``).  An instance's own row
@@ -287,19 +319,13 @@ class _UserSideRows:
     grow with the cuts read.
     """
 
-    def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None,
-                 mode: str = "stepwise"):
+    def __init__(self, dataset: Dataset, net: UserNet, corr_u: np.ndarray | None):
         self.corr_u = corr_u
         self.net = net
         g, events = dataset.by_user, dataset.events
         owner, rank, in_train = g.positions()
         rows = g.order[~in_train]
         self.users, self.places, self.times = owner[~in_train], events.poi[rows], events.t[rows]
-        if mode == "static":
-            self.static = net.predict_score_matrix(dataset)
-            self.static_adj = (association.adjust_user_scores(corr_u, self.static)
-                               if corr_u is not None else None)
-            return
         # Each instance reads its own cut.  users and cuts gather every
         # (user, cut) the walk reads: how far each history must run.
         own_cuts = rank[~in_train]
@@ -343,8 +369,8 @@ class _UserSideRows:
         self.run = net.run_histories((events, g.order, g.offsets), users, cuts)
 
     def walk(self):
-        """Stepwise rows: yield (instance indices, own rows, adjusted rows or
-        None) in blocks of at most ``RANK_BLOCK`` instances."""
+        """Yield (instance indices, own rows, adjusted rows or None) in blocks
+        of at most ``RANK_BLOCK`` instances."""
         n = self.users.size
         own = _RowStream(self.net, self.run, *self.own)
         if self.corr_u is None:
@@ -455,11 +481,14 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
     test events raises DataError.  Each part the requested wirings read is
     built at most once: the similarity matrices and place-side rows ``s_l``
     unless given, the cross-place adjustment, and one set of user-side rows.
-    Static rows are ranked once per owner row, in blocks of ``RANK_BLOCK``
-    users (or places for the next-visitor task), and every instance reads its
-    truth's rank in its owner's row; the stepwise walk ranks each instance's
-    own row under every variant, a block of instances at a time.  Both follow
-    rank_top_k's tie rule.
+    ``s_u_mode`` "static" scores one user-side row per user at the end of
+    training history (``UserNet.predict_score_matrix``, and one
+    ``adjust_user_scores`` product); "stepwise" advances each instance's rows
+    through test time (``_UserSideRows``).  Rows that every instance of an
+    owner reads, static user rows and the next-visitor task's place rows,
+    are ranked by owner (``_ranks_by_owner``); the stepwise walk ranks each
+    instance's own rows under every variant, a block of instances at a time.
+    Both follow rank_top_k's tie rule.
     A result holds "variant", "fusion", "ranks" (each test event's 1-based
     rank, by user, or place for the next-visitor task, then in test order),
     "n", "acc", "mrr", "per_user" and "unseen": the same metrics over test
@@ -491,32 +520,36 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
         results["poi_net_only"] = _evaluate_next_visitor(dataset, s_l_adj, fusion, ks)
     user_side = [v for v in variants if WIRING[v].user_net]
     if user_side:
-        user_rows = _UserSideRows(dataset, user_net, corr_u if used.user_adj else None,
-                                  s_u_mode)
         # Each user-side variant: whether it reads the adjusted row, and the
         # place-side rows it fuses in (None for none).
         picks = [(WIRING[v].user_adj,
                   s_l_adj if WIRING[v].poi_adj else s_l if WIRING[v].poi_net else None)
                  for v in user_side]
-        owners, truths = user_rows.users, user_rows.places
 
         def fused(rows, users, place_side):
             return rows if place_side is None else _combine(rows, place_side[:, users].T, fusion)
 
-        ranks = np.empty((len(user_side), owners.size), dtype=np.int64)
         if s_u_mode == "static":
-            # Every instance of a user reads that user's one row.
+            # One row per user at the end of training history, which every
+            # instance of the user reads: ranked by user.
+            owners, truths = _test_instances(dataset.by_user, dataset.events.poi)
+            own = user_net.predict_score_matrix(dataset)
+            adjusted = association.adjust_user_scores(corr_u, own) if used.user_adj else None
+            ranks = np.empty((len(user_side), owners.size), dtype=np.int64)
             for j, (user_adj, place_side) in enumerate(picks):
-                table = user_rows.static_adj if user_adj else user_rows.static
+                table = adjusted if user_adj else own
                 ranks[j] = _ranks_by_owner(lambda users: fused(table[users], users, place_side),
                                            owners, truths)
         else:
+            user_rows = _UserSideRows(dataset, user_net, corr_u if used.user_adj else None)
+            owners, truths = user_rows.users, user_rows.places
+            ranks = np.empty((len(user_side), owners.size), dtype=np.int64)
             for idx, own, adjusted in user_rows.walk():
                 users = owners[idx]
                 for j, (user_adj, place_side) in enumerate(picks):
                     rows = fused(adjusted if user_adj else own, users, place_side)
                     ranks[j, idx] = ranks_of_truths(rows, truths[idx])
-        unseen_mask = ~association.seen_in_training(dataset, user_rows.users, user_rows.places)
+        unseen_mask = ~association.seen_in_training(dataset, owners, truths)
         for variant, variant_ranks in zip(user_side, ranks):
             results[variant] = _package(variant, fusion, ks, variant_ranks, unseen_mask, owners)
     return {v: results[v] for v in variants}
@@ -524,9 +557,7 @@ def evaluate_variants(dataset: Dataset, user_net: UserNet | None, poi_net: PoiNe
 
 def _evaluate_next_visitor(dataset: Dataset, s_l_adj: np.ndarray,
                            fusion: FusionStrategy, ks) -> dict:
-    g, visitor = dataset.by_poi, dataset.events.user
-    owner, _, in_train = g.positions()
-    places, users = owner[~in_train], visitor[g.order[~in_train]]
+    places, users = _test_instances(dataset.by_poi, dataset.events.user)
     ranks = _ranks_by_owner(lambda block: s_l_adj[block], places, users)
     unseen_mask = ~association.seen_in_training(dataset, users, places)
     return _package("poi_net_only", fusion, ks, ranks, unseen_mask, places)

@@ -666,11 +666,50 @@ def test_save_dataset_removes_a_version_1_events_file(tmp_path, small_dataset):
     new events table."""
     out = tmp_path / "ds"
     out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"version": 1, "format": "gowalla"}))
     write_checkin_file(out / "events.tsv", small_dataset.events, small_dataset.user_raw,
                        small_dataset.poi_raw)
     save_dataset(small_dataset, out)
     assert sorted(p.name for p in out.iterdir()) == [
         "events.npy", "manifest.json", "meta.json", "pois.tsv", "users.tsv"]
+
+
+@pytest.mark.parametrize("manifest", [None, {"version": 2}, "not json"],
+                         ids=["none", "version-2", "unreadable"])
+def test_save_dataset_keeps_files_of_no_version_1_dataset(tmp_path, small_dataset, manifest):
+    """An ``events.tsv`` (and a ``meta.json``) in a directory whose manifest is
+    missing or unreadable is no dataset's part and stays; so does an
+    ``events.tsv`` beside a version-2 manifest."""
+    out = tmp_path / "ds"
+    out.mkdir()
+    if manifest is not None:
+        (out / "manifest.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
+    (out / "events.tsv").write_text("u1\t2010-01-01T00:00:00Z\t1.0\t2.0\tp1\n")
+    (out / "meta.json").write_text("{}")
+    save_dataset(dataclasses.replace(small_dataset, meta={}), out)
+    assert (out / "events.tsv").read_text().startswith("u1\t")
+    assert (out / "meta.json").exists() == (manifest is None or manifest == "not json")
+    assert load_dataset(out).records == small_dataset.records
+
+
+@pytest.mark.parametrize("name", ["events.tsv", "users.tsv"])
+def test_ingest_refuses_to_replace_its_input(tmp_path, small_dataset, name):
+    """``ingest --input D/events.tsv --out D`` over a version-1 directory
+    (whose ``events.tsv`` saving would remove), or with an input the save
+    would write over, exits with a data error and leaves D as it was."""
+    out = tmp_path / "ds"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"version": 1, "format": "gowalla"}))
+    write_checkin_file(out / name, small_dataset.events, small_dataset.user_raw,
+                       small_dataset.poi_raw)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["ingest", "--input", str(out / name), "--out", str(out),
+                         "--min-records", "1"])
+    assert code == cli.EXIT_DATA and "another directory" in err.getvalue()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_raw_file_round_trip(tmp_path, small_dataset):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,6 +131,10 @@ class TestRanking:
             assert rank_of_truth(scores, truth) == order.index(truth) + 1
 
 
+#: ``evaluate.SORT_COST`` values that make ``_ranks_by_owner`` sort every
+#: block, and count every block.
+SORT_COSTS = (0.0, 1e9)
+
 #: Scores that tie in many ways: equal values, +0.0 against -0.0, infinities.
 TIED_SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, np.inf, -np.inf])
 
@@ -150,7 +155,25 @@ def test_one_tie_rule(data):
                                          max_size=owners.size), label="truths"))
     positions = [list(rank_top_k(rows[o], c)).index(t) + 1 for o, t in zip(owners, truths)]
     assert ranks_of_truths(rows[owners], truths).tolist() == positions
-    assert _ranks_by_owner(lambda block: rows[block], owners, truths).tolist() == positions
+    for sort_cost in SORT_COSTS:        # every block sorted, then every block counted
+        with mock.patch.object(evaluate, "SORT_COST", sort_cost):
+            assert _ranks_by_owner(lambda block: rows[block], owners, truths).tolist() \
+                == positions
+
+
+def test_ranks_by_owner_sorts_only_dense_blocks():
+    """A block is sorted once per owner row when its owners average at least
+    ``SORT_COST * log2(C)`` instances, and counted one gathered row per
+    instance otherwise; the ranks are the same."""
+    rng = np.random.default_rng(5)
+    for per_owner, c, sorted_ in ((40, 8, True), (6, 8, True), (5, 8, False), (1, 1000, False)):
+        rows = rng.standard_normal((10, c))
+        owners = rng.permutation(np.repeat(np.arange(10), per_owner))
+        truths = rng.integers(0, c, owners.size)
+        with mock.patch.object(evaluate, "_positions", wraps=evaluate._positions) as spy:
+            ranks = _ranks_by_owner(lambda block: rows[block], owners, truths)
+        assert spy.called == sorted_
+        assert ranks.tolist() == ranks_of_truths(rows[owners], truths).tolist()
 
 
 class TestMetrics:
@@ -239,18 +262,20 @@ class TestEvaluateWiring:
                                         if k != "weighted_add"]
                              + [FusionStrategy("weighted_add", 0.7, 0.3)],
                              ids=lambda f: f.label())
+    @pytest.mark.parametrize("sort_cost", SORT_COSTS, ids=("sorted", "counted"))
     def test_static_ranks_equal_gather_and_count(self, small_dataset, nets, monkeypatch,
-                                                 fusion):
-        """Static ranks, taken once per owner row in blocks of 3 owners, are
-        the ranks of each instance's own gathered row counted by
-        ranks_of_truths, for every variant.  Scores rounded to two places
-        force ties."""
+                                                 fusion, sort_cost):
+        """Static ranks, taken by owner in blocks of 3 owners (each block
+        sorted once, or counted per instance), are the ranks of each
+        instance's own gathered row counted by ranks_of_truths, for every
+        variant.  Scores rounded to two places force ties."""
         user_net, poi_net = nets
         ds = small_dataset
         s_u = np.round(user_net.predict_score_matrix(ds), 2)
         s_l = np.round(poi_net.predict_score_matrix(ds), 2)
         monkeypatch.setattr(user_net, "predict_score_matrix", lambda dataset: s_u)
         monkeypatch.setattr(evaluate, "RANK_BLOCK", 3)
+        monkeypatch.setattr(evaluate, "SORT_COST", sort_cost)
         corr_u, corr_l = association.user_similarity(ds), association.poi_similarity(ds)
         results = evaluate_variants(ds, user_net, poi_net, VARIANTS, fusion, ks=(1,),
                                     corr_u=corr_u, corr_l=corr_l, s_l=s_l, s_u_mode="static")
@@ -369,7 +394,7 @@ class TestTimeOrderedPass:
         times = [[e.t for e in evs] for evs in events]
         cut_rows = [user_net.score_rows_at_cuts(evs, v, range(len(evs) + 1))
                     for v, evs in enumerate(events)]
-        rows = _UserSideRows(ds, user_net, corr_u, "stepwise")
+        rows = _UserSideRows(ds, user_net, corr_u)
         differs_from_inclusive = False
         walked = []
         for idx, _, block in rows.walk():
@@ -510,7 +535,7 @@ class TestStreamedWalk:
                                                              ad.recurrent_states))
         monkeypatch.setattr(user_net, "score_states", counting("score_states",
                                                                user_net.score_states))
-        rows = _UserSideRows(small_dataset, user_net, corr_u, "stepwise")
+        rows = _UserSideRows(small_dataset, user_net, corr_u)
         for _ in rows.walk():
             pass
         groups = np.unique(rows.run.group[rows.run.group >= 0]).size
@@ -530,7 +555,7 @@ class TestStreamedWalk:
             monkeypatch.setattr(ad, "HEAD_CELLS", cells)
             tracemalloc.start()
             try:
-                for _ in _UserSideRows(ds, user_net, corr_u, "stepwise").walk():
+                for _ in _UserSideRows(ds, user_net, corr_u).walk():
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:

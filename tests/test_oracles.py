@@ -559,7 +559,7 @@ def test_grouped_prediction_matches_the_per_context_oracles(case):
             want = {i: (own, adjusted)
                     for i, own, adjusted in all_cuts_walk(ds, user_net, corr, read)}
             scored.clear()
-            rows = _UserSideRows(ds, user_net, corr, "stepwise")
+            rows = _UserSideRows(ds, user_net, corr)
             walked = []
             for idx, own, adjusted in rows.walk():
                 walked += idx.tolist()
