@@ -143,8 +143,9 @@ def _blocks(n: int):
 
 
 #: Sorting a row of C candidates once costs about as much as counting
-#: ``SORT_COST * log2(C)`` gathered rows (``ranks_of_truths``): measured
-#: 1.4 to 2.1 for C from 100 to 30,000 on one core, 0.6 at C = 30.
+#: ``SORT_COST * log2(C)`` gathered rows (``ranks_of_truths``).  Measured on
+#: one core with random scores: 1.4 to 1.9 for C from 100 to 3,000, about 2.9
+#: for C from 10,000 to 30,000, and 0.7 at C = 30.
 SORT_COST = 2.0
 
 
