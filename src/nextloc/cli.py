@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
     seed, = _seeds(args.seed, "--seed", many=False)
     cfg = _config(args, TRAIN_KEYS)
     dataset = load_dataset(args.data)
-    net, log = evaluate.train_net(args.net, dataset, cfg, seed, seed)
+    net, log = evaluate.train_net(args.net, dataset, cfg, seed)
     net.predict_score_matrix(dataset)   # finite parameters can still overflow the scores
     out = _out_dir(args.out, "model")
     os.makedirs(out, exist_ok=True)
@@ -165,6 +165,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_associate(args) -> int:
+    if args.top_k is not None and args.top_k < 0:
+        raise ConfigError(f"--top-k must be non-negative, got {args.top_k}")
     dataset = load_dataset(args.data)
     corr_u = association.user_similarity(dataset, same_day=args.user_same_day,
                                          top_k=args.top_k)
@@ -268,7 +270,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_case(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     dataset = load_dataset(args.data)
+    if args.k > min(dataset.n_users, dataset.n_pois):
+        raise ConfigError(f"--k {args.k} exceeds the {dataset.n_users} users or "
+                          f"{dataset.n_pois} places")
     user_net = _load_net(UserNet, args.user_ckpt, dataset)
     poi_net = _load_net(PoiNet, args.poi_ckpt, dataset)
     user_index = {raw: i for i, raw in enumerate(dataset.user_raw)}

@@ -43,15 +43,14 @@ WIRING = {
 VARIANTS = tuple(WIRING)
 ROW_MODES = ("stepwise", "static")      # user-side rows over test time; see evaluate_variants
 
-FUSION_KINDS = ("maxpool", "weighted_add", "multiply", "minpool", "sum")
+FUSION_KINDS = ("maxpool", "weighted_add", "multiply", "minpool")
 
 
 @dataclasses.dataclass(frozen=True)
 class FusionStrategy:
     """How the user-side and place-side score for the same (user, place) cell
-    combine.  maxpool keeps the larger of the two; "sum" is the plain additive
-    reading kept for comparison (it ranks identically to equal-weight
-    weighted_add)."""
+    combine.  maxpool keeps the larger of the two; equal-weight weighted_add
+    ranks as the plain sum."""
     kind: str = "maxpool"
     w_user: float = 0.5
     w_poi: float = 0.5
@@ -93,9 +92,7 @@ def _combine(user_side: np.ndarray, poi_side: np.ndarray, st: FusionStrategy) ->
         return np.minimum(user_side, poi_side)
     if st.kind == "multiply":
         return user_side * poi_side
-    if st.kind == "weighted_add":
-        return st.w_user * user_side + st.w_poi * poi_side
-    return user_side + poi_side
+    return st.w_user * user_side + st.w_poi * poi_side
 
 
 def fuse(s_u_adj: np.ndarray, s_l_adj: np.ndarray,
@@ -632,26 +629,20 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def train_net(kind: str, dataset: Dataset, settings: TrainSettings, init_seed, seed: int):
+def train_net(kind: str, dataset: Dataset, settings: TrainSettings, seed: int):
     """The ``kind`` ("user" or "poi") network for ``dataset``, initialised from
-    ``init_seed`` and trained under ``settings`` from ``seed``, and its loss log."""
+    child 0 (user) or 1 (place) of ``SeedSequence(seed).spawn(2)`` and trained
+    under ``settings`` from ``seed``, and its loss log."""
+    user_seed, poi_seed = np.random.SeedSequence(seed).spawn(2)
     if kind == "user":
         net = UserNet(dataset.n_users, dataset.n_pois, settings.dim,
-                      alpha=settings.alpha, beta=settings.beta, seed=init_seed)
+                      alpha=settings.alpha, beta=settings.beta, seed=user_seed)
     else:
         net = PoiNet(dataset.n_users, dataset.n_pois, n_slots=dataset.slots,
-                     dim=settings.dim, slot_dim=settings.slot_dim, seed=init_seed)
+                     dim=settings.dim, slot_dim=settings.slot_dim, seed=poi_seed)
     log = net.train(dataset, settings.epochs, seed=seed, lr=settings.lr,
                     optimizer=settings.optimizer, batch_size=settings.batch_size)
     return net, log
-
-
-def train_nets(dataset: Dataset, settings: TrainSettings, seed: int):
-    """Train both networks with independent streams derived from one seed."""
-    u_seed, p_seed = np.random.SeedSequence(seed).spawn(2)
-    user_net, user_log = train_net("user", dataset, settings, u_seed, seed)
-    poi_net, poi_log = train_net("poi", dataset, settings, p_seed, seed)
-    return user_net, poi_net, {"user": user_log, "poi": poi_log}
 
 
 def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrategy(),
@@ -675,7 +666,8 @@ def run_battery(source, variants=VARIANTS, fusion: FusionStrategy = FusionStrate
                    if isinstance(source, SyntheticSpec) else source)
         check_request(dataset.n_users, dataset.n_pois, variants, ks, s_u_mode)
         check_has_test_events(dataset)
-        user_net, poi_net, _ = train_nets(dataset, settings, seed)
+        user_net, _ = train_net("user", dataset, settings, seed)
+        poi_net, _ = train_net("poi", dataset, settings, seed)
         corr_u = association.user_similarity(dataset, same_day=same_day,
                                              top_k=top_k_users)
         corr_l = association.poi_similarity(dataset, top_k=top_k_pois)
@@ -796,15 +788,12 @@ def motivation_stats(dataset: Dataset, which: str):
 
 
 def case_report(dataset: Dataset, user_net: UserNet, poi_net: PoiNet,
-                user: int, poi: int, k: int = 5,
-                corr_u: np.ndarray | None = None, corr_l: np.ndarray | None = None) -> dict:
+                user: int, poi: int, k: int = 5) -> dict:
     """Inspectable snapshot for one user and one place: top candidates from
     each network and their most similar neighbors (None where the dataset has
     no other user or place), with raw ids."""
-    if corr_u is None:
-        corr_u = association.user_similarity(dataset)
-    if corr_l is None:
-        corr_l = association.poi_similarity(dataset)
+    corr_u = association.user_similarity(dataset)
+    corr_l = association.poi_similarity(dataset)
     history = dataset.by_user.history(user)
     s_u_row = user_net.score_rows_at_cuts(dataset.events.take(history), user,
                                           [history.size])[0]

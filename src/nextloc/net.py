@@ -249,15 +249,14 @@ class WindowNet:
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
-    def run_histories(self, histories, owners, cuts, contexts=None) -> HistoryStates:
+    def run_histories(self, histories, owners, cuts) -> HistoryStates:
         """Run each history of (history, cut) pairs through the cell once,
         as far as its largest cut, and keep the states ``score_states`` reads.
 
         ``histories`` is ``(events, rows, offsets)``: history h is the events
         at ``rows[offsets[h]:offsets[h + 1]]`` in order, read with context row
-        ``contexts[h]`` (default h).  Pair i asks for the first ``cuts[i]``
-        events of history ``owners[i]``; a history no pair cuts past 0 is not
-        run.  Widest first, histories run through the cell in groups whose
+        h.  Pair i asks for the first ``cuts[i]`` events of history
+        ``owners[i]``; a history no pair cuts past 0 is not run.  Widest first, histories run through the cell in groups whose
         padded cells stay under ``CELL_BUDGET`` (a wider history runs alone).
         Memory: the states and recall fields of every history, each padded
         to the widest in its group, O((D + recall fields) x events read).
@@ -265,7 +264,7 @@ class WindowNet:
         """
         width, group, slot, members = self._plan(histories, owners, cuts)
         return HistoryStates(width, group, slot,
-                             [self._run_group(histories, contexts, m, width) for m in members])
+                             [self._run_group(histories, None, m, width) for m in members])
 
     def score_states(self, run: HistoryStates, owners, cuts) -> np.ndarray:
         """Probability rows of the next target for (history, cut) pairs, from

@@ -42,6 +42,19 @@ def fingerprint(directory):
     return out
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call and pass it on: the list
+    of calls' arguments."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "data"
@@ -424,18 +437,33 @@ class TestTrain:
         assert fingerprint(tmp_path / "default") == fingerprint(tmp_path / "none")
 
     def test_zero_epochs_keeps_the_seeded_init(self, data_dir, tmp_path):
+        """The user side starts from child 0 of the seed's two spawned streams."""
         out = tmp_path / "init"
         assert cli.main(["train", "--data", str(data_dir), "--net", "user",
                          "--epochs", "0", "--dim", "4", "--seed", "3",
                          "--out", str(out)]) == 0
         loaded = UserNet.load(out / "user_net.ckpt")
-        fresh = UserNet(10, 20, 4, seed=3)
+        fresh = UserNet(10, 20, 4, seed=np.random.SeedSequence(3).spawn(2)[0])
         for got, want in zip(loaded.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(got.values, want.values)
         assert (out / "user_loss.txt").read_text() == ""
 
 
 class TestAssociate:
+    def test_negative_top_k_is_refused_before_any_work(self, data_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = count_calls(monkeypatch, association, "user_similarity")
+        for data in (data_dir, tmp_path / "absent"):
+            out = tmp_path / "sim"
+            assert cli.main(["associate", "--data", str(data), "--top-k", "-2",
+                             "--out", str(out)]) == cli.EXIT_USAGE
+            assert "--top-k must be non-negative, got -2" in capsys.readouterr().err
+            assert not out.exists()
+        assert calls == []
+        assert cli.main(["associate", "--data", str(data_dir), "--top-k", "0",
+                         "--out", str(tmp_path / "sim")]) == 0
+        assert len(calls) == 1
+
     def test_matrices_round_trip(self, data_dir, tmp_path):
         out = tmp_path / "sim"
         assert cli.main(["associate", "--data", str(data_dir),
@@ -594,7 +622,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("fusion", ["weighted_add:nan,nan", "weighted_add:inf,-inf",
                                         "maxpool:7,9", "weighted_add:0.7",
-                                        "weighted_add:0.7,0.3,0", "weighted_add:a,b"])
+                                        "weighted_add:0.7,0.3,0", "weighted_add:a,b", "sum"])
     def test_bad_fusion_text_is_usage_error(self, data_dir, model_dir, tmp_path, capsys,
                                             fusion):
         """Weights go only with weighted_add, exactly two finite ones; the
@@ -690,6 +718,27 @@ class TestAblate:
         assert "no test events" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_train_and_evaluate_reproduce_the_battery(self, data_dir, tmp_path, seed):
+        """``train`` of both networks, then ``evaluate --variant all``, scores
+        every variant as ``ablate --data`` does for the same seed and settings."""
+        settings = ["--epochs", "2", "--lr", "0.01"]
+        model = tmp_path / "model"
+        for net in ("user", "poi"):
+            assert cli.main(["train", "--data", str(data_dir), "--net", net, "--seed", seed,
+                             *settings, "--out", str(model)]) == 0
+        assert cli.main(["evaluate", "--data", str(data_dir), "--variant", "all",
+                         "--user-ckpt", str(model / "user_net.ckpt"),
+                         "--poi-ckpt", str(model / "poi_net.ckpt"),
+                         "--out", str(tmp_path / "cli")]) == 0
+        assert cli.main(["ablate", "--data", str(data_dir), "--seeds", seed, *settings,
+                         "--out", str(tmp_path / "battery")]) == 0
+        for variant in cli.VARIANTS:
+            cli_report, battery = (json.loads((tmp_path / side / f"report_{variant}.json")
+                                              .read_text()) for side in ("cli", "battery"))
+            for key in ("mrr", "acc", "unseen_mrr", "n_instances", "per_user"):
+                assert cli_report[key] == battery[key], (variant, key)
+
     def test_needs_a_source(self, tmp_path):
         assert cli.main(["ablate", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
 
@@ -741,6 +790,27 @@ class TestStats:
 
 
 class TestCase:
+    @pytest.mark.parametrize("k, data, message", [
+        ("0", "absent", "--k must be at least 1, got 0"),
+        ("-3", "absent", "--k must be at least 1, got -3"),
+        ("11", "data", "--k 11 exceeds the 10 users or 20 places"),
+    ])
+    def test_k_is_refused_before_any_checkpoint_or_similarity(self, data_dir, tmp_path, capsys,
+                                                              monkeypatch, k, data, message):
+        """A k below 1 is refused before the dataset is read, and one beyond
+        either side's candidates right after it: the checkpoints named here
+        do not exist, so reading them would exit 3."""
+        calls = count_calls(monkeypatch, association, "user_similarity")
+        out = tmp_path / "case"
+        assert cli.main(["case", "--data", str(data_dir if data == "data" else tmp_path / data),
+                         "--user-ckpt", str(tmp_path / "absent_user.ckpt"),
+                         "--poi-ckpt", str(tmp_path / "absent_poi.ckpt"),
+                         "--user", "u003", "--poi", "p007", "--k", k,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_report_written(self, data_dir, model_dir, tmp_path, capsys):
         out = tmp_path / "case"
         assert cli.main(["case", "--data", str(data_dir),

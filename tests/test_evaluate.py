@@ -46,9 +46,12 @@ class TestFusionStrategy:
         assert (st.kind, st.w_user, st.w_poi) == ("weighted_add", 0.7, 0.3)
         assert FusionStrategy.parse(st.label()) == st
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="fusion kind"):
-            FusionStrategy("geomean")
+    @pytest.mark.parametrize("kind", ["geomean", "sum"])
+    def test_unknown_kind_rejected(self, kind):
+        """``sum`` ranked exactly as equal-weight weighted_add and is not a kind."""
+        with pytest.raises(ValueError, match="fusion kind") as refused:
+            FusionStrategy.parse(kind)
+        assert str(FUSION_KINDS) in str(refused.value)
 
     @pytest.mark.parametrize("w_user,w_poi", [(0.7, 0.7), (-0.2, 1.2), (1.0, 0.1),
                                               (np.nan, np.nan), (np.inf, -np.inf)])
@@ -68,13 +71,27 @@ class TestFuse:
         st = FusionStrategy("weighted_add", 0.4, 0.6)
         np.testing.assert_allclose(fuse(self.S_U, self.S_L, st), [[0.26, 0.26]])
 
-    def test_multiply_minpool_sum(self):
+    def test_multiply_minpool(self):
         np.testing.assert_allclose(
             fuse(self.S_U, self.S_L, FusionStrategy("multiply")), [[0.06, 0.05]])
         np.testing.assert_array_equal(
             fuse(self.S_U, self.S_L, FusionStrategy("minpool")), [[0.2, 0.1]])
-        np.testing.assert_allclose(
-            fuse(self.S_U, self.S_L, FusionStrategy("sum")), [[0.5, 0.6]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_weighted_add_ranks_as_the_plain_sum(self, seed):
+        """Equal-weight weighted_add ranks every candidate as plain a + b
+        does, ties included, so no separate sum kind is needed.  Scores on
+        a grid of 0.1 force ties."""
+        rng = np.random.default_rng(seed)
+        s_u, s_l = np.round(rng.random((6, 8)), 1), np.round(rng.random((8, 6)), 1)
+        fused = fuse(s_u, s_l, FusionStrategy.parse("weighted_add:0.5,0.5"))
+        plain = s_u + s_l.T
+        assert any(np.unique(row).size < row.size for row in plain)
+        for got, want in zip(fused, plain):
+            np.testing.assert_array_equal(rank_top_k(got, got.size), rank_top_k(want, want.size))
+        truths = rng.integers(0, 8, size=6)
+        np.testing.assert_array_equal(ranks_of_truths(fused, truths),
+                                      ranks_of_truths(plain, truths))
 
     def test_silent_place_side_leaves_maxpool_unchanged(self):
         zeros = np.zeros((2, 1))
