@@ -256,7 +256,8 @@ class WindowNet:
         ``histories`` is ``(events, rows, offsets)``: history h is the events
         at ``rows[offsets[h]:offsets[h + 1]]`` in order, read with context row
         h.  Pair i asks for the first ``cuts[i]`` events of history
-        ``owners[i]``; a history no pair cuts past 0 is not run.  Widest first, histories run through the cell in groups whose
+        ``owners[i]``; a history no pair cuts past 0 is not run.  Widest
+        first, histories run through the cell in groups whose
         padded cells stay under ``CELL_BUDGET`` (a wider history runs alone).
         Memory: the states and recall fields of every history, each padded
         to the widest in its group, O((D + recall fields) x events read).

@@ -790,22 +790,24 @@ class TestStats:
 
 
 class TestCase:
-    @pytest.mark.parametrize("k, data, message", [
-        ("0", "absent", "--k must be at least 1, got 0"),
-        ("-3", "absent", "--k must be at least 1, got -3"),
-        ("11", "data", "--k 11 exceeds the 10 users or 20 places"),
+    @pytest.mark.parametrize("k, message", [
+        (0, "--k must be at least 1, got 0"),
+        (-3, "--k must be at least 1, got -3"),
+        (11, "--k 11 exceeds the 10 users or 20 places"),
     ])
     def test_k_is_refused_before_any_checkpoint_or_similarity(self, data_dir, tmp_path, capsys,
-                                                              monkeypatch, k, data, message):
-        """A k below 1 is refused before the dataset is read, and one beyond
-        either side's candidates right after it: the checkpoints named here
-        do not exist, so reading them would exit 3."""
+                                                              monkeypatch, k, message):
+        """A k below 1 is refused before the dataset is read (the one given
+        for it does not exist), and one beyond either side's candidates right
+        after it: the checkpoints named do not exist, so reading them would
+        exit 3."""
         calls = count_calls(monkeypatch, association, "user_similarity")
         out = tmp_path / "case"
-        assert cli.main(["case", "--data", str(data_dir if data == "data" else tmp_path / data),
+        data = data_dir if k >= 1 else tmp_path / "absent"
+        assert cli.main(["case", "--data", str(data),
                          "--user-ckpt", str(tmp_path / "absent_user.ckpt"),
                          "--poi-ckpt", str(tmp_path / "absent_poi.ckpt"),
-                         "--user", "u003", "--poi", "p007", "--k", k,
+                         "--user", "u003", "--poi", "p007", "--k", str(k),
                          "--out", str(out)]) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
         assert calls == []
